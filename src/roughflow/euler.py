@@ -52,7 +52,7 @@ from .flow import (ParticleFlow, load_particles_binary, load_particles_csv,
                    save_particles_binary, save_particles_csv,
                    solve_nonlocal_flow)
 from .roughpath import DriverPair, RoughPath, variation_control
-from .variation import Control, Localization, localized_p_variation
+from .variation import Control, Localization, _thin_indices, localized_p_variation
 
 __all__ = [
     "EulerState", "EulerTrajectory", "solve_rough_euler",
@@ -533,51 +533,28 @@ class FourierTestFunctions:
 # weak-formulation diagnostics
 # ---------------------------------------------------------------------------
 
-def _pair_increments(rp: RoughPath, times: np.ndarray):
-    """First- and second-level increments over every node pair of ``times``.
-
-    Returns ``(dZ, AA)`` with ``dZ[i, j] = Z_{t_i, t_j}`` and
-    ``AA[i, j] = 𝕫_{t_i, t_j}`` (upper triangle; rebased by the Chen
-    recursion ``𝕫_{s,·}`` extended one segment at a time).
-    """
-    rps = rp.resample(times)
-    Z = rps.values
-    n, M = Z.shape
-    dZ = Z[None, :, :] - Z[:, None, :]
-    AA = np.zeros((n, n, M, M))
-    seg = rps.segment_area
-    for i in range(n - 1):
-        acc = np.zeros((M, M))
-        for j in range(i, n - 1):
-            acc = acc + seg[j] + np.outer(Z[j] - Z[i], Z[j + 1] - Z[j])
-            AA[i, j + 1] = acc
-    return dZ, AA
-
-
-def _default_localization(rp: RoughPath, times: np.ndarray,
+def _default_localization(omega_z: Control, times: np.ndarray, p: float,
                           threshold: float | None) -> Localization:
-    omega = variation_control(rp.resample(times)) + Control.interval_power(
-        times, rp.p_exponent)
+    omega = omega_z + Control.interval_power(times, p)
     if threshold is None:
         steps = np.asarray(omega(times[:-1], times[1:]))
         threshold = 4.0 * float(steps.max()) if steps.max() > 0 else 1.0
     return Localization(omega, threshold)
 
 
-def _thin_indices(n: int, cap: int) -> np.ndarray:
-    stride = max(1, math.ceil((n - 1) / max(cap - 1, 1)))
-    return np.unique(np.r_[np.arange(0, n, stride), n - 1])
-
-
 @dataclass
 class WeakRemainder:
     """Per-pair weak-formulation ledger over a snapshot grid.
 
-    All tables are indexed ``[i, j]`` over snapshot times (upper triangle
-    populated), with a trailing family axis where noted.  The remainder
-    ``R = w_{s,t}(ψ) − μ − w_s(A*ψ)`` is normalized by the family's W^{3,1}
-    norms into ``remainder_norms`` — the dual-norm proxy whose localized
-    p/3-variation the solution concept requires to be finite.
+    All tables are indexed ``[i, j]`` over snapshot times, with a trailing
+    family axis where noted.  ``mu_values`` is the full antisymmetric table
+    ``c_j − c_i`` of the cumulative drift; every other table is populated on
+    the upper triangle ``i < j`` only and is zero on and below the diagonal.
+
+    The remainder ``R = w_{s,t}(ψ) − μ − w_s(A*ψ)`` is normalized by the
+    family's W^{3,1} norms into ``remainder_norms`` — the dual-norm proxy
+    whose localized p/3-variation the solution concept requires to be
+    finite.
 
     ``additivity_defect`` is the worst violation of the exact cocycle
     identity ``δR_{s,u,t}(ψ) = w_{s,u}(A²*_{u,t}ψ) + w†_{s,u}(A¹*_{u,t}ψ)``
@@ -688,7 +665,7 @@ def weak_remainder(trajectory: EulerTrajectory, *,
             f"disagreement {quad_err:.3e} vs scale {mu_scale:.3e} "
             f"(store snapshots more densely)")
 
-    dZ, AA = _pair_increments(rp, times)
+    dZ, AA = rp.pair_tables(times)
     driver_terms = (-np.einsum("ijm,imf->ijf", dZ, PS)
                     + np.einsum("ijab,iabf->ijf", AA, PSS))
     dP = P[None, :, :] - P[:, None, :]
@@ -700,14 +677,14 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     remainder_norms = np.abs(R / fam.w31_norms).max(axis=-1)
     remainder_norms = np.triu(remainder_norms)
 
+    omega_z = variation_control(rp, times)
     loc = localization if localization is not None else _default_localization(
-        rp, times, threshold)
+        omega_z, times, p, threshold)
     var_power = localized_p_variation(increments=remainder_norms, p=p / 3.0,
                                       loc=loc, times=times)
 
     # a-priori control: sup^{p/3} ω_A + sup^{2p/3} |t−s|^{p/3}(ω_A^{1/3}+ω_A^{2/3})
     kappa = max(1.0, trajectory.driver.sigma_norm(3)) ** 2
-    omega_z = variation_control(rp.resample(times))
     Ti, Tj = np.meshgrid(times, times, indexing="ij")
     omega_a = np.zeros((n, n))
     ii, jj = np.triu_indices(n, k=1)
@@ -804,7 +781,7 @@ def solution_variation_diagnostic(trajectory: EulerTrajectory, *,
     var_power = localized_p_variation(increments=D, p=p, loc=loc, times=times)
 
     kappa = max(1.0, trajectory.driver.sigma_norm(3)) ** 2
-    omega_z = variation_control(rp.resample(times))
+    omega_z = variation_control(rp, times)
     omega_a = np.zeros((n, n))
     ii, jj = np.triu_indices(n, k=1)
     omega_a[ii, jj] = kappa ** p * np.asarray(omega_z(times[ii], times[jj]))

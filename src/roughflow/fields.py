@@ -523,7 +523,7 @@ def interpolate(field, points, method: str = "spectral", upsample: int = 4):
     if method == "spectral":
         out = _interp_spectral(values, flat)
     elif method == "cubic":
-        out = _interp_cubic(values, flat, upsample)
+        out = _interp_cubic([values], flat, upsample)[0]
     else:
         raise GridError(f"unknown interpolation method {method!r}")
     return out.reshape(pts.shape[:-1])
@@ -556,14 +556,18 @@ def _spectral_upsample(values: np.ndarray, r: int) -> np.ndarray:
     return np.fft.ifft2(Wf).real * r * r
 
 
-_CUBIC_CACHE: dict[int, np.ndarray] = {}
+def _interp_cubic(values, pts: np.ndarray, r: int) -> np.ndarray:
+    """Periodic Catmull-Rom at ``pts`` of each ``(N, N)`` component in ``values``.
 
-
-def _interp_cubic(values: np.ndarray, pts: np.ndarray, r: int) -> np.ndarray:
+    ``values`` is a sequence of ``C`` grids and the result has shape
+    ``(C, n_pts)``.  The stencil (cell floor, weights and gather indices) is
+    built once and shared by every component; each component is summed in
+    the same order a single-component call would use.
+    """
     if r < 1:
         raise GridError("upsample factor must be a positive integer")
-    fine = _spectral_upsample(values, r) if r > 1 else values
-    Nu = fine.shape[0]
+    fine = [_spectral_upsample(c, r) for c in values] if r > 1 else list(values)
+    Nu = fine[0].shape[0]
     g = pts * (Nu / TWO_PI)
     i0 = np.floor(g).astype(int)
     f = g - i0
@@ -580,14 +584,15 @@ def _interp_cubic(values: np.ndarray, pts: np.ndarray, r: int) -> np.ndarray:
 
     w1 = weights(f[:, 0])
     w2 = weights(f[:, 1])
-    out = np.zeros(pts.shape[0])
-    flat = fine.ravel()
+    flats = [c.ravel() for c in fine]
+    out = np.zeros((len(flats), pts.shape[0]))
     for a in range(4):
-        ia = (i0[:, 0] + a - 1) % Nu
-        base = ia * Nu
+        base = ((i0[:, 0] + a - 1) % Nu) * Nu
         for b in range(4):
-            ib = (i0[:, 1] + b - 1) % Nu
-            out += w1[a] * w2[b] * flat[base + ib]
+            ind = base + (i0[:, 1] + b - 1) % Nu
+            wab = w1[a] * w2[b]
+            for k, flat in enumerate(flats):
+                out[k] += wab * flat[ind]
     return out
 
 

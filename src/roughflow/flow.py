@@ -39,8 +39,8 @@ from .fields import (
 )
 from .roughpath import DriverPair, difference_variation_control, \
     reverse_rough_path, variation_control
-from .variation import Control, Localization, _as_times, locate_nodes, \
-    localized_p_variation
+from .variation import Control, Localization, _as_times, _thin_indices, \
+    locate_nodes, localized_p_variation
 
 __all__ = [
     "ZeroDrift", "SteadyDrift", "CallableDrift", "GridDrift", "as_drift",
@@ -205,9 +205,7 @@ class GridDrift:
             return interpolate_velocity(self.snapshots[k], pts, method="spectral")
         fine = self._fine_snapshot(k)
         flat = pts.reshape(-1, 2) % TWO_PI
-        out = np.stack([_interp_cubic(fine[0], flat, 1),
-                        _interp_cubic(fine[1], flat, 1)], axis=-1)
-        return out.reshape(pts.shape)
+        return np.stack(_interp_cubic(fine, flat, 1), axis=-1).reshape(pts.shape)
 
     def measure_log_lipschitz(self, n_pairs: int = 512, seed: int = 0) -> float:
         """Sampled sup of ``|u(t,x)−u(t,y)| / γ(d(x,y))``; cached on the instance."""
@@ -528,9 +526,7 @@ def _diagnose(problem: FlowProblem, track_unwrapped: np.ndarray,
     rp = problem.driver.rough_path
     st = problem.step_times
     q = problem.q_exponent
-    n_steps = st.size - 1
-    stride = max(1, math.ceil(n_steps / (_DIAG_GRID_CAP - 1)))
-    idx = np.unique(np.r_[np.arange(0, n_steps + 1, stride), n_steps])
+    idx = _thin_indices(st.size, _DIAG_GRID_CAP)
     sub_times = st[idx]
     rp_sub = rp.resample(sub_times)
 
@@ -825,10 +821,7 @@ def lagrangian_stability_bound(times, positions1, positions2, driver1, driver2,
     rp1 = getattr(driver1, "rough_path", driver1)
     rp2 = getattr(driver2, "rough_path", driver2)
     q = max(rp1.p_exponent, rp2.p_exponent) if q is None else float(q)
-    rp_times = rp1.times
-    if rp_times.size > 129:
-        stride = math.ceil((rp_times.size - 1) / 128)
-        rp_times = np.unique(np.r_[rp_times[::stride], rp_times[-1]])
+    rp_times = rp1.times[_thin_indices(rp1.times.size, 129)]
     omega_dz = difference_variation_control(rp1, rp2, rp_times)
     horizon = t[-1] - t[0]
     return constant * (d[0] + sigma_diff_c3

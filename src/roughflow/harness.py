@@ -591,9 +591,10 @@ def run_flow_convergence(config: ExperimentConfig, *, seed=None, out_dir=None
     """Two-flow stability: measured sup-distance vs. the evaluated bound.
 
     Runs the base flow (steady Biot-Savart drift of ``w0`` plus the rough
-    driver) against perturbed twins — identical, drift shifted by a constant
-    δ, and initial data shifted by δ — and checks domination by the
-    Osgood-type right side with the frozen library constant.
+    driver) once, against perturbed twins — identical (a determinism check
+    of the solver), drift shifted by a constant δ, and initial data shifted
+    by δ — and checks domination by the Osgood-type right side with the
+    frozen library constant.
     """
     if config.experiment != "flow_convergence":
         raise HypothesisError("config.experiment must be 'flow_convergence'")
@@ -613,20 +614,19 @@ def run_flow_convergence(config: ExperimentConfig, *, seed=None, out_dir=None
     sizes = tuple(float(s) for s in
                   config.tolerances.get("perturbation_sizes", (0.1, 0.05)))
 
+    pos1 = solve_flow(FlowProblem(drift, driver, initial, times),
+                      store_times="steps").positions_array()
+
     def run_pair(drift2, initial2, u_diff):
-        base = solve_flow(FlowProblem(drift, driver, initial, times),
-                          store_times="steps")
-        other = solve_flow(FlowProblem(drift2, driver, initial2, times),
-                           store_times="steps")
-        pos1 = base.positions_array()
-        pos2 = other.positions_array()
+        pos2 = solve_flow(FlowProblem(drift2, driver, initial2, times),
+                          store_times="steps").positions_array()
         delta = (pos1 - pos2 + math.pi) % TWO_PI - math.pi
         left = float(np.sqrt((delta ** 2).sum(axis=-1)).max())
-        right = lagrangian_stability_bound(times, pos1, pos2, driver, driver,
-                                           u_diff_sup=u_diff)
+        # the bound is ``constant · (…)``, so scaling the unit-constant value
+        # reproduces the library-constant one bit for bit
         raw = lagrangian_stability_bound(times, pos1, pos2, driver, driver,
                                          u_diff_sup=u_diff, constant=1.0)
-        return left, right, raw
+        return left, LAGRANGIAN_STABILITY_CONSTANT * raw, raw
 
     rows = []
     ratios = []

@@ -20,6 +20,10 @@ Conventions
 
 Internally a prefix table ``P_k = 𝕫_{t_0, t_k}`` is accumulated once via Chen,
 so any window is two table reads and one outer product.
+:meth:`RoughPath.pair_tables` applies that to every pair of a grid at once —
+the one primitive behind the variation controls and the weak-remainder
+ledger.  On a grid of stored nodes it indexes the prefix table directly; any
+other grid is resampled once first.
 """
 
 from __future__ import annotations
@@ -191,6 +195,32 @@ class RoughPath:
         for k in range(K):
             dZ[k], dA[k] = self.increment(st[k], st[k + 1])
         return dZ, dA
+
+    def pair_tables(self, times) -> tuple[np.ndarray, np.ndarray]:
+        """(Z, 𝕫) over every pair ``i < j`` of the grid ``times``.
+
+        Returns ``Z`` of shape ``(m, m, M)`` and ``𝕫`` of shape
+        ``(m, m, M, M)`` with ``Z[i, j] = Z_{t_i, t_j}`` and
+        ``𝕫[i, j] = 𝕫_{t_i, t_j}``; entries on and below the diagonal are
+        zero.  When every time is a stored node the prefix table is indexed
+        directly (as in :meth:`increments_along`); any other grid inside the
+        span is first :meth:`resample`-d once, so off-grid windows follow the
+        partial-segment convention.
+        """
+        t = _as_times(times)
+        try:
+            idx = locate_nodes(self.times, t)
+            rp = self
+        except GridError:
+            rp = self.resample(t)
+            idx = np.arange(t.size)
+        m, M = t.size, self.dim
+        i, j = np.triu_indices(m, k=1)
+        Z = np.zeros((m, m, M))
+        A = np.zeros((m, m, M, M))
+        Z[i, j] = rp.pair_first_level(idx[i], idx[j])
+        A[i, j] = rp.pair_second_level(idx[i], idx[j])
+        return Z, A
 
     # -- contract checks --------------------------------------------------------
 
@@ -383,18 +413,14 @@ def variation_control(rp: RoughPath, times=None, p: float | None = None) -> Cont
 
     Variation is taken over partitions subordinate to ``times`` (default: the
     path's own grid), so the table is exactly superadditive.  Intended for
-    diagnostic grids — cost grows cubically with the node count.
+    diagnostic grids: the increments are one :meth:`RoughPath.pair_tables`
+    call (a direct gather when ``times`` are stored nodes, one resample
+    otherwise), and the partition DP over all windows costs O(m³) in the
+    node count ``m``.
     """
     t = _control_times(rp, times)
     p = rp.p_exponent if p is None else float(p)
-    idx = locate_nodes(rp.times, t)
-    I, J = np.meshgrid(idx, idx, indexing="ij")
-    z = rp.pair_first_level(I, J)
-    z_norm = np.sqrt(np.einsum("ija,ija->ij", z, z))
-    zz = rp.pair_second_level(I, J)
-    zz_norm = np.sqrt(np.einsum("ijab,ijab->ij", zz, zz))
-    table = _all_windows_dp(z_norm ** p, None) + _all_windows_dp(zz_norm ** (p / 2.0), None)
-    return Control.from_table(t, table, kind="rough-path-variation")
+    return _control_from_pair_tables(t, *rp.pair_tables(t), p)
 
 
 def difference_variation_control(rp1: RoughPath, rp2: RoughPath, times,
@@ -403,24 +429,23 @@ def difference_variation_control(rp1: RoughPath, rp2: RoughPath, times,
 
     Both paths are queried (Chen-composed / interpolated) at ``times``, so the
     grids need not match as long as the span covers the requested window.
+    Costs two :meth:`RoughPath.pair_tables` calls (a direct gather on each
+    path whose grid contains ``times``, one resample otherwise) plus the
+    O(m³) partition DP.
     """
-    t = _as_times(times)
-    if t.size > _CONTROL_GRID_CAP:
-        raise GridError("difference controls are O(m³); pass a diagnostic subgrid")
-    p = max(rp1.p_exponent, rp2.p_exponent) if p is None else float(p)
-    m = t.size
-    dz = np.zeros((m, m, rp1.dim))
-    dzz = np.zeros((m, m, rp1.dim, rp1.dim))
+    t = _control_times(rp1, times)
     if rp1.dim != rp2.dim:
         raise GridError("difference control needs rough paths of equal dimension")
-    for i in range(m):
-        for j in range(i + 1, m):
-            z1, a1 = rp1.increment(t[i], t[j])
-            z2, a2 = rp2.increment(t[i], t[j])
-            dz[i, j] = z1 - z2
-            dzz[i, j] = a1 - a2
-    z_norm = np.sqrt(np.einsum("ija,ija->ij", dz, dz))
-    zz_norm = np.sqrt(np.einsum("ijab,ijab->ij", dzz, dzz))
+    p = max(rp1.p_exponent, rp2.p_exponent) if p is None else float(p)
+    z1, a1 = rp1.pair_tables(t)
+    z2, a2 = rp2.pair_tables(t)
+    return _control_from_pair_tables(t, z1 - z2, a1 - a2, p)
+
+
+def _control_from_pair_tables(t: np.ndarray, z: np.ndarray, zz: np.ndarray,
+                              p: float) -> Control:
+    z_norm = np.sqrt(np.einsum("ija,ija->ij", z, z))
+    zz_norm = np.sqrt(np.einsum("ijab,ijab->ij", zz, zz))
     table = _all_windows_dp(z_norm ** p, None) + _all_windows_dp(zz_norm ** (p / 2.0), None)
     return Control.from_table(t, table, kind="rough-path-variation")
 

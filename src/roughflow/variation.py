@@ -79,6 +79,16 @@ def locate_nodes(times: np.ndarray, query, *, what: str = "time") -> np.ndarray:
     return idx
 
 
+def _thin_indices(n: int, cap: int) -> np.ndarray:
+    """At most ``cap`` evenly strided indices into ``n`` nodes, both ends kept.
+
+    The one grid-thinning rule for diagnostic subgrids: stride
+    ``⌈(n−1)/(cap−1)⌉``, plus the last node when the stride skips it.
+    """
+    stride = max(1, math.ceil((n - 1) / max(cap - 1, 1)))
+    return np.unique(np.r_[np.arange(0, n, stride), n - 1])
+
+
 class Control:
     """A superadditive control ``ω(s, t)`` attached to a time grid.
 
@@ -488,7 +498,7 @@ def rough_gronwall_bound(G0: float, omega1: Control, omega2: Control | None = No
         decay = np.exp(-w1 / (alpha * L))
         tail3 = float(np.max(w3 * decay))
         expo = (1.0 - theta) / k_prime
-        w2_term = np.where(w2 > 0, np.power(w2, expo, where=w2 > 0), 0.0)
+        w2_term = np.power(w2, expo, out=np.zeros_like(w2), where=w2 > 0)
         tail2 = float(np.max(w2_term * decay))
 
     total = float(w1[-1])

@@ -108,6 +108,25 @@ def chen_defect_direct(z_vals, areas, i, j, k):
     return lhs - rhs
 
 
+def variation_control_table_meshgrid(rp, times, p):
+    """Rough-path variation-control table by the dense meshgrid formula.
+
+    Queries every ``(i, j)`` window of the node grid ``times`` (lower
+    triangle included) through ``rp``'s own window queries, then runs the
+    library's all-windows DP; kept as the brute reference the pair-table
+    assembly must match bit for bit.
+    """
+    from roughflow.variation import _all_windows_dp, locate_nodes
+
+    idx = locate_nodes(rp.times, times)
+    I, J = np.meshgrid(idx, idx, indexing="ij")
+    z = rp.pair_first_level(I, J)
+    z_norm = np.sqrt(np.einsum("ija,ija->ij", z, z))
+    zz = rp.pair_second_level(I, J)
+    zz_norm = np.sqrt(np.einsum("ijab,ijab->ij", zz, zz))
+    return _all_windows_dp(z_norm ** p, None) + _all_windows_dp(zz_norm ** (p / 2.0), None)
+
+
 def rk4_flow(velocity, positions, t0, t1, n_steps):
     """Classical RK4 particle integrator for ẋ = u(t, x) (no wrapping).
 

@@ -378,6 +378,20 @@ class TestWeakRemainder:
         result = weak_remainder(run)
         assert result.additivity_defect <= 1e-12
 
+    def test_tables_zero_on_and_below_diagonal_except_mu(self):
+        driver = scalar_brownian_driver(ShearField(0.5, 1, 0), n_seg=32, seed=9,
+                                        scale=0.5)
+        run = solve_rough_euler(shear_mode(32), driver,
+                                np.linspace(0.0, 1.0, 33), store_times="steps")
+        result = weak_remainder(run)
+        lower = np.tril_indices(result.times.size)
+        for table in (result.driver_terms, result.remainder_values,
+                      result.remainder_norms, result.bound_values):
+            assert not table[lower].any()
+        assert result.driver_terms[np.triu_indices(result.times.size, 1)].any()
+        assert np.array_equal(result.mu_values,
+                              -result.mu_values.transpose(1, 0, 2))
+
     def test_zero_sigma_remainder_vanishes(self):
         run = solve_rough_euler(shear_mode(32), zero_driver(),
                                 np.linspace(0.0, 1.0, 17), store_times="steps")

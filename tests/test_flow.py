@@ -15,6 +15,7 @@ from roughflow.fields import (
     SumField,
     VorticityGrid,
     biot_savart,
+    interpolate_velocity,
     mollify,
 )
 from roughflow.flow import (
@@ -111,6 +112,14 @@ class TestDrifts:
         out = gd.velocity(0.0, pts)
         assert np.abs(out[:, 1] - np.sin(pts[:, 0])).max() < 1e-5
         assert np.abs(out[:, 0]).max() == 0.0
+
+    def test_grid_drift_cubic_equals_interpolate_velocity_bitwise(self):
+        N = 16
+        rng = np.random.default_rng(4)
+        u = rng.standard_normal((2, N, N))
+        gd = GridDrift([0.0], [u])
+        pts = rng.uniform(-1.0, 7.0, (40, 2))
+        assert np.array_equal(gd.velocity(0.0, pts), interpolate_velocity(u, pts))
 
     def test_grid_drift_spectral_is_exact_on_modes(self):
         N = 16

@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+import roughflow.harness as harness
 from roughflow.cli import main
 from roughflow.errors import GridError, HypothesisError
 from roughflow.harness import (
@@ -240,6 +241,36 @@ class TestFlowConvergence:
         for row in rows[1:]:
             assert 0.0 < row["left"] <= row["right"]
         assert result.measured["max_ratio_vs_unit_constant"] <= 1.0
+
+    def test_base_flow_solved_once_and_bound_once_per_pair(self, monkeypatch):
+        sizes = (0.1, 0.05, 0.02)
+        config = smoke_config("flow_convergence", particles=16, meshes=(16,),
+                              tolerances={"perturbation_sizes": sizes})
+        solves, bounds = [], []
+        real_solve = harness.solve_flow
+        real_bound = harness.lagrangian_stability_bound
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return real_solve(*args, **kwargs)
+
+        def recording_bound(*args, **kwargs):
+            bounds.append((args, kwargs))
+            return real_bound(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_flow", counting_solve)
+        monkeypatch.setattr(harness, "lagrangian_stability_bound", recording_bound)
+        rows = run_flow_convergence(config).table()[1]
+        assert len(solves) == 2 + 2 * len(sizes)
+        assert len(bounds) == 1 + 2 * len(sizes) == len(rows)
+        # every cell is bit for bit what a per-pair evaluation with the
+        # library constant gives on the same two trajectories
+        for row, (args, kwargs) in zip(rows, bounds):
+            _, pos1, pos2 = args[:3]
+            delta = (pos1 - pos2 + np.pi) % (2 * np.pi) - np.pi
+            assert row["left"] == float(np.sqrt((delta ** 2).sum(axis=-1)).max())
+            kwargs.pop("constant")
+            assert row["right"] == real_bound(*args, **kwargs)
 
 
 class TestDispatch:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughflow import GridError, HypothesisError
 from roughflow.roughpath import (
@@ -15,7 +17,7 @@ from roughflow.roughpath import (
     save_rough_path_csv,
     variation_control,
 )
-from reference import chen_defect_direct
+from reference import chen_defect_direct, variation_control_table_meshgrid
 
 
 def brownian_lift(seed, n=128, dims=2, p=2.5, T=1.0):
@@ -235,6 +237,60 @@ def test_variation_control_grid_cap():
     rp = brownian_lift(seed=6, n=512)
     with pytest.raises(GridError):
         variation_control(rp)
+
+
+def random_grid_path(rng, n, dims, perturbed):
+    """A lift on a random non-uniform grid, optionally non-geometric."""
+    times = np.r_[0.0, np.cumsum(rng.uniform(0.05, 1.0, n))]
+    vals = np.cumsum(rng.standard_normal((n + 1, dims)) * 0.3, axis=0)
+    rp = lift_piecewise_linear(times, vals, 2.5)
+    if perturbed:
+        areas = rp.segment_area + rng.standard_normal((n, dims, dims)) * 0.05
+        rp = RoughPath(times, vals, areas, 2.5)
+    return rp
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dims=st.integers(1, 3),
+       perturbed=st.booleans(), on_nodes=st.booleans())
+def test_pair_tables_match_per_pair_increments(seed, dims, perturbed, on_nodes):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 30))
+    rp = random_grid_path(rng, n, dims, perturbed)
+    m = int(rng.integers(2, n + 2))
+    if on_nodes:
+        t = rp.times[np.sort(rng.choice(n + 1, size=m, replace=False))]
+    else:
+        t = np.unique(rng.uniform(rp.times[0], rp.times[-1], size=m))
+    Z, A = rp.pair_tables(t)
+    assert Z.shape == (t.size, t.size, dims)
+    assert A.shape == (t.size, t.size, dims, dims)
+    scale = 1.0 + float(np.abs(rp.values).max()) ** 2
+    for i in range(t.size):
+        assert not Z[i, :i + 1].any() and not A[i, :i + 1].any()
+        for j in range(i + 1, t.size):
+            z, a = rp.increment(t[i], t[j])
+            np.testing.assert_allclose(Z[i, j], z, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(A[i, j], a, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_variation_control_table_matches_meshgrid_bitwise(seed):
+    rng = np.random.default_rng(100 + seed)
+    rp = random_grid_path(rng, 80, 2, perturbed=seed % 2 == 1)
+    t = rp.times[np.sort(rng.choice(81, size=40, replace=False))]
+    table = variation_control(rp, t)._table
+    assert np.array_equal(table, variation_control_table_meshgrid(rp, t, rp.p_exponent))
+
+
+def test_difference_control_rejects_mismatched_dims_and_long_grids():
+    rp2 = brownian_lift(seed=16, n=16, dims=2)
+    rp3 = brownian_lift(seed=16, n=16, dims=3)
+    with pytest.raises(GridError, match="equal dimension"):
+        difference_variation_control(rp2, rp3, rp2.times)
+    long = brownian_lift(seed=16, n=512, dims=2)
+    with pytest.raises(GridError, match="at most 400 nodes"):
+        difference_variation_control(long, long, long.times)
 
 
 def test_difference_control_of_identical_paths_vanishes():
