@@ -49,7 +49,18 @@ class CoherenceError(RoughFlowError):
 
 
 class StepSizeError(RoughFlowError):
-    """A time step is too large for the scheme's validity guard (or CFL)."""
+    """A time step is too large for the scheme's validity guard (or CFL).
+
+    ``step`` is the index ``k`` of the offending step, ``interval`` its
+    ``(s, t)``, and ``value`` the quantity that tripped the guard (or the
+    count of non-finite position coordinates); each may be ``None``.
+    """
+
+    def __init__(self, message, step=None, interval=None, value=None):
+        super().__init__(message)
+        self.step = step
+        self.interval = interval
+        self.value = value
 
 
 class UndersamplingError(RoughFlowError, ValueError):

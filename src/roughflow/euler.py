@@ -42,17 +42,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (GridError, HypothesisError, QuadratureError,
-                     StepSizeError)
-from .fields import (VorticityGrid, biot_savart, deposit, interpolate,
-                     interpolate_velocity, load_field_binary, load_field_csv,
-                     mollify, nodes_1d, save_field_binary, save_field_csv,
-                     wavenumbers)
+from .errors import GridError, HypothesisError, QuadratureError, StepSizeError
+from .fields import (TWO_PI, VorticityGrid, interpolate, interpolate_velocity,
+                     load_field_binary, load_field_csv, nodes_1d,
+                     save_field_binary, save_field_csv, wavenumbers)
 from .flow import (ParticleFlow, load_particles_binary, load_particles_csv,
                    save_particles_binary, save_particles_csv,
                    solve_nonlocal_flow)
 from .roughpath import DriverPair, RoughPath, variation_control
-from .variation import Control, Localization, _thin_indices, localized_p_variation
+from .variation import (Localization, _default_localization, _store_indices,
+                        _thin_indices, localized_p_variation)
 
 __all__ = [
     "EulerState", "EulerTrajectory", "solve_rough_euler",
@@ -61,8 +60,6 @@ __all__ = [
     "SolutionVariation", "solution_variation_diagnostic",
     "save_run", "load_run", "RunArchive",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +148,7 @@ def solve_rough_euler(w0: VorticityGrid, driver: DriverPair, step_times, *,
     mean → optionally mollify → Biot-Savart velocity → freeze that field and
     take one rough step of the particles.  The mean only leaves the velocity
     solve; the particles keep carrying it, so every deposited snapshot has
-    the full mean back.
+    the full mean back.  Each stored state reuses the grids the march computed.
 
     Args:
         w0: initial vorticity (any bounded grid sample; particle weights are
@@ -172,21 +169,15 @@ def solve_rough_euler(w0: VorticityGrid, driver: DriverPair, step_times, *,
         raise HypothesisError(
             "solve_rough_euler integrates the advecting convention; "
             "build the driver with sign_convention=-1")
-    N = w0.N if resolution is None else int(resolution)
     traj = solve_nonlocal_flow(
         w0, driver, step_times, particles_per_side=particles_per_side,
-        resolution=N, interpolation=interpolation, mollify_eta=mollify_eta,
+        resolution=resolution, interpolation=interpolation, mollify_eta=mollify_eta,
         store_times=store_times, q_exponent=q_exponent)
 
     initial_sup = float(np.abs(traj.flows[0].weights).max())
     initial_mean = float(traj.flows[0].weights.mean())
     states, drift, excess = [], 0.0, 0.0
-    for flow in traj.flows:
-        w = deposit(flow.positions, flow.weights, N)
-        centered = VorticityGrid(w.values - w.mean)
-        if mollify_eta is not None:
-            centered = mollify(centered, mollify_eta)
-        u = biot_savart(centered)
+    for flow, (w, u) in zip(traj.flows, traj.grids):
         states.append(EulerState(time=float(flow.time), particles=flow,
                                  vorticity=w, velocity=u, driver=driver))
         drift = max(drift, abs(w.mean - initial_mean))
@@ -302,23 +293,7 @@ def solve_viscous_reference(w0: VorticityGrid, sigmas, path, nu: float, *,
         slopes.extend([(vz[k + 1] - vz[k]) / seg] * n_sub)
     steps = np.concatenate(pieces)
 
-    if store_times is None:
-        keep = {0, steps.size - 1}
-    elif isinstance(store_times, str) and store_times == "steps":
-        keep = set(range(steps.size))
-    else:
-        wanted = np.asarray(store_times, dtype=float)
-        idx = np.searchsorted(steps, wanted)
-        idx = np.clip(idx, 0, steps.size - 1)
-        near = np.where(idx > 0,
-                        np.abs(steps[np.maximum(idx - 1, 0)] - wanted) <
-                        np.abs(steps[idx] - wanted), False)
-        idx = np.where(near, idx - 1, idx)
-        off = np.abs(steps[idx] - wanted)
-        if off.max() > 1e-9 * max(1.0, steps[-1] - steps[0]):
-            raise GridError(f"store time {wanted[int(off.argmax())]:g} is not "
-                            f"a step boundary")
-        keep = set(int(i) for i in idx)
+    keep = _store_indices(steps, store_times)
 
     mean0 = w0.mean
     sup0 = max(w0.linf(), 1e-300)
@@ -338,14 +313,9 @@ def solve_viscous_reference(w0: VorticityGrid, sigmas, path, nu: float, *,
         vmax = float(np.sqrt(a1 ** 2 + a2 ** 2).max())
         return out, vmax
 
-    times_out, grids, cfl_margin, excess = [], [], 0.0, 0.0
-
-    def maybe_store(i):
-        if i in keep:
-            times_out.append(steps[i])
-            grids.append(VorticityGrid(np.fft.ifft2(W).real + mean0))
-
-    maybe_store(0)
+    grids, cfl_margin, excess = [], 0.0, 0.0
+    if 0 in keep:
+        grids.append(VorticityGrid(np.fft.ifft2(W).real + mean0))
     for i in range(steps.size - 1):
         h = steps[i + 1] - steps[i]
         zdot = slopes[i]
@@ -356,7 +326,8 @@ def solve_viscous_reference(w0: VorticityGrid, sigmas, path, nu: float, *,
         if margin > 1.0:
             raise StepSizeError(
                 f"CFL violation at t = {steps[i]:g}: |u - sigma*zdot|_inf*dt "
-                f"= {vmax * h:.3e} exceeds the grid spacing {h_grid:.3e}")
+                f"= {vmax * h:.3e} exceeds the grid spacing {h_grid:.3e}",
+                step=i, interval=(steps[i], steps[i + 1]), value=margin)
         predictor = heat * (W + h * rate1)
         rate2, _ = nonlinear(predictor, zdot)
         W = heat * W + 0.5 * h * (heat * rate1 + rate2)
@@ -367,9 +338,11 @@ def solve_viscous_reference(w0: VorticityGrid, sigmas, path, nu: float, *,
             raise StepSizeError(
                 f"maximum principle violated at t = {steps[i + 1]:g}: "
                 f"sup norm overshoots by {overshoot:.1%} "
-                f"(allowance {max_principle_tol:.1%})")
-        maybe_store(i + 1)
-    return ViscousTrajectory(times=np.asarray(times_out), grids=grids, nu=nu,
+                f"(allowance {max_principle_tol:.1%})",
+                step=i, interval=(steps[i], steps[i + 1]), value=overshoot)
+        if i + 1 in keep:
+            grids.append(VorticityGrid(w_now))
+    return ViscousTrajectory(times=steps[sorted(keep)], grids=grids, nu=nu,
                              sup_excess=max(excess, 0.0),
                              cfl_margin=cfl_margin,
                              step_count=steps.size - 1)
@@ -533,15 +506,6 @@ class FourierTestFunctions:
 # weak-formulation diagnostics
 # ---------------------------------------------------------------------------
 
-def _default_localization(omega_z: Control, times: np.ndarray, p: float,
-                          threshold: float | None) -> Localization:
-    omega = omega_z + Control.interval_power(times, p)
-    if threshold is None:
-        steps = np.asarray(omega(times[:-1], times[1:]))
-        threshold = 4.0 * float(steps.max()) if steps.max() > 0 else 1.0
-    return Localization(omega, threshold)
-
-
 @dataclass
 class WeakRemainder:
     """Per-pair weak-formulation ledger over a snapshot grid.
@@ -577,6 +541,7 @@ class WeakRemainder:
     p_exponent: float
     localization: Localization
     bound_values: np.ndarray       # (n, n) a-priori control per pair
+    omega_a: np.ndarray            # (n, n) κ^p·ω_Z per pair
     scaling_slope: float
     additivity_defect: float
     quadrature_error: float
@@ -721,7 +686,7 @@ def weak_remainder(trajectory: EulerTrajectory, *,
                          driver_terms=driver_terms, remainder_values=R,
                          remainder_norms=remainder_norms,
                          variation_power=float(var_power), p_exponent=p,
-                         localization=loc, bound_values=bound,
+                         localization=loc, bound_values=bound, omega_a=omega_a,
                          scaling_slope=slope, additivity_defect=defect,
                          quadrature_error=quad_err)
 
@@ -780,16 +745,11 @@ def solution_variation_diagnostic(trajectory: EulerTrajectory, *,
     loc = remainder.localization
     var_power = localized_p_variation(increments=D, p=p, loc=loc, times=times)
 
-    kappa = max(1.0, trajectory.driver.sigma_norm(3)) ** 2
-    omega_z = variation_control(rp, times)
-    omega_a = np.zeros((n, n))
-    ii, jj = np.triu_indices(n, k=1)
-    omega_a[ii, jj] = kappa ** p * np.asarray(omega_z(times[ii], times[jj]))
     Ti, Tj = np.meshgrid(times, times, indexing="ij")
     gap = np.triu(Tj - Ti, k=1)
     sup_w = float(np.abs(states[0].particles.weights).max())
     omega_nat = remainder.remainder_norms ** (p / 3.0)
-    bound = (1.0 + sup_w) ** (2 * p) * (gap ** p + omega_a + omega_nat)
+    bound = (1.0 + sup_w) ** (2 * p) * (gap ** p + remainder.omega_a + omega_nat)
 
     omega_w = D ** p
     mask = loc.mask(times) & (bound > 0) \
@@ -804,12 +764,17 @@ def solution_variation_diagnostic(trajectory: EulerTrajectory, *,
 # run persistence
 # ---------------------------------------------------------------------------
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+def _jsonable(value):
+    """``value`` with numpy arrays and scalars, at any depth, as plain JSON types."""
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
 
 
 @dataclass
@@ -851,7 +816,7 @@ def save_run(trajectory: EulerTrajectory, root, name: str = "run", *,
         "config": config or {},
     }
     with open(out / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=2, default=_jsonable)
+        json.dump(_jsonable(meta), fh, indent=2)
     for k, state in enumerate(trajectory):
         if binary:
             save_field_binary(state.vorticity, str(out / f"fields_t{k:04d}.bin"))
@@ -868,7 +833,7 @@ def save_run(trajectory: EulerTrajectory, root, name: str = "run", *,
     }
     diagnostics.update(extra_diagnostics or {})
     with open(out / "diagnostics.json", "w") as fh:
-        json.dump(diagnostics, fh, indent=2, default=_jsonable)
+        json.dump(_jsonable(diagnostics), fh, indent=2)
     return out
 
 

@@ -367,10 +367,14 @@ def gamma(r):
     return out
 
 
+def _nearest_image(d):
+    """Coordinate differences mapped to their nearest periodic image, [−π, π)."""
+    return (d + math.pi) % TWO_PI - math.pi
+
+
 def torus_distance(x, y) -> float:
     """Nearest-image Euclidean distance on [0, 2π)²."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    d = (d + math.pi) % TWO_PI - math.pi
+    d = _nearest_image(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
     return float(np.sqrt((d * d).sum(axis=-1)))
 
 
@@ -434,10 +438,10 @@ def kernel_log_lipschitz_check(x, x_prime, resolution: int = 256) -> KernelCheck
     Y1, Y2 = np.meshgrid(grid, grid, indexing="ij")
 
     def kernel_diff_norm():
-        d1 = (x[0] - Y1 + math.pi) % TWO_PI - math.pi
-        d2 = (x[1] - Y2 + math.pi) % TWO_PI - math.pi
-        e1 = (xp[0] - Y1 + math.pi) % TWO_PI - math.pi
-        e2 = (xp[1] - Y2 + math.pi) % TWO_PI - math.pi
+        d1 = _nearest_image(x[0] - Y1)
+        d2 = _nearest_image(x[1] - Y2)
+        e1 = _nearest_image(xp[0] - Y1)
+        e2 = _nearest_image(xp[1] - Y2)
         r2 = d1 ** 2 + d2 ** 2
         s2 = e1 ** 2 + e2 ** 2
         keep = (r2 >= rho ** 2) & (s2 >= rho ** 2)
@@ -489,7 +493,7 @@ def mollify(field, eta: float):
     if eta < 2.0 * h:
         raise UndersamplingError(
             f"eta = {eta:g} is below the grid resolution (need >= {2 * h:g} at N = {N})")
-    z = (nodes_1d(N) + math.pi) % TWO_PI - math.pi
+    z = _nearest_image(nodes_1d(N))
     R2 = (z[:, None] ** 2 + z[None, :] ** 2) / eta ** 2
     with np.errstate(divide="ignore", over="ignore"):
         kernel = np.where(R2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - R2, 1e-300)), 0.0)

@@ -14,6 +14,10 @@ Drifts are pluggable: ``None``, a catalog :class:`~roughflow.fields.VectorField`
 a plain callable ``fn(t, positions)``, or time-stamped grid snapshots
 (:class:`GridDrift`).  Grid drifts report their sup norm and a sampled
 log-Lipschitz constant against the modulus γ.
+
+Both forward solvers share one march loop with a per-node hook: the flow
+solver tracks diagnostic particles there, the nonlocal solver freezes the
+Biot-Savart drift and keeps the grids of stored nodes.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ import numpy as np
 
 from .errors import GridError, HypothesisError, StepSizeError
 from .fields import (
+    TWO_PI,
     VectorField,
     VorticityGrid,
     _interp_cubic,
+    _nearest_image,
     _spectral_upsample,
     biot_savart,
     deposit,
@@ -39,8 +45,8 @@ from .fields import (
 )
 from .roughpath import DriverPair, difference_variation_control, \
     reverse_rough_path, variation_control
-from .variation import Control, Localization, _as_times, _thin_indices, \
-    locate_nodes, localized_p_variation
+from .variation import _as_times, _default_localization, _store_indices, \
+    _thin_indices, locate_nodes, localized_p_variation
 
 __all__ = [
     "ZeroDrift", "SteadyDrift", "CallableDrift", "GridDrift", "as_drift",
@@ -52,18 +58,12 @@ __all__ = [
     "lagrangian_stability_bound", "LAGRANGIAN_STABILITY_CONSTANT",
 ]
 
-TWO_PI = 2.0 * math.pi
-
 
 def _wrap(x: np.ndarray) -> np.ndarray:
     out = np.mod(x, TWO_PI)
     # np.mod rounds 2π−ε up to 2π itself for tiny negative inputs; keep the
     # documented half-open fundamental domain [0, 2π)
     return np.where(out >= TWO_PI, 0.0, out)
-
-
-def _nearest_image(delta: np.ndarray) -> np.ndarray:
-    return (delta + math.pi) % TWO_PI - math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +457,8 @@ def davie_step(positions, s: float, t: float, problem: FlowProblem) -> np.ndarra
     Raises:
         StepSizeError: the noise displacement could wrap the torus
             (``Σ_j ‖σ_j‖_∞ |Z^j| > π``), or the step leaves the localized
-            small-threshold regime (``‖σ‖_{C²}^{q/2} ω_Z(s,t)^{1/2} ≥ 1/2``).
+            small-threshold regime (``‖σ‖_{C²}^{q/2} ω_Z(s,t)^{1/2} ≥ 1/2``),
+            or it produced non-finite positions.
     """
     pos = np.asarray(positions, dtype=float)
     driver = problem.driver
@@ -469,7 +470,8 @@ def davie_step(positions, s: float, t: float, problem: FlowProblem) -> np.ndarra
     if reach > math.pi:
         raise StepSizeError(
             f"noise displacement bound {reach:.3g} exceeds half the domain on "
-            f"step [{s:g}, {t:g}]; refine the step grid")
+            f"step [{s:g}, {t:g}]; refine the step grid",
+            interval=(s, t), value=reach)
     p = rp.p_exponent
     omega_step = (float(np.sqrt((Z ** 2).sum())) ** p
                   + float(np.sqrt((A ** 2).sum())) ** (p / 2.0))
@@ -477,7 +479,8 @@ def davie_step(positions, s: float, t: float, problem: FlowProblem) -> np.ndarra
     if guard >= 0.5:
         raise StepSizeError(
             f"step [{s:g}, {t:g}] leaves the small-threshold regime "
-            f"(‖σ‖_C²^(q/2)·ω^(1/2) = {guard:.3g} ≥ 0.5); refine the step grid")
+            f"(‖σ‖_C²^(q/2)·ω^(1/2) = {guard:.3g} ≥ 0.5); refine the step grid",
+            interval=(s, t), value=guard)
 
     out = pos + problem.drift.velocity(s, pos) * (t - s)
     eps = driver.sign_convention
@@ -485,6 +488,9 @@ def davie_step(positions, s: float, t: float, problem: FlowProblem) -> np.ndarra
     out = out + eps * np.einsum("j,j...->...", Z, S)
     G = np.stack([f.gradient(pos) for f in sigmas])
     out = out + np.einsum("i...b,j...ab,ij->...a", S, G, A)
+    if not np.isfinite(out).all():
+        raise StepSizeError(f"step [{s:g}, {t:g}] produced non-finite positions",
+                            interval=(s, t), value=int((~np.isfinite(out)).sum()))
     return _wrap(out)
 
 
@@ -506,9 +512,13 @@ class FlowDiagnostics:
 
 @dataclass
 class FlowTrajectory:
+    """Snapshots of one march; :func:`solve_nonlocal_flow` also fills
+    ``grids`` with the ``(deposit, velocity)`` pair of each stored node."""
+
     times: np.ndarray
     flows: list
     diagnostics: FlowDiagnostics | None = None
+    grids: list | None = None
 
     @property
     def final(self) -> ParticleFlow:
@@ -521,8 +531,11 @@ class FlowTrajectory:
 _DIAG_GRID_CAP = 257
 
 
-def _diagnose(problem: FlowProblem, track_unwrapped: np.ndarray,
-              track_wrapped: np.ndarray, threshold: float | None) -> FlowDiagnostics:
+def _diagnose(problem: FlowProblem, track_wrapped: np.ndarray,
+              threshold: float | None) -> FlowDiagnostics:
+    # unwrap the tracked paths step by step (accumulate adds in step order)
+    track_unwrapped = np.cumsum(np.concatenate(
+        [track_wrapped[:1], _nearest_image(np.diff(track_wrapped, axis=0))]), axis=0)
     rp = problem.driver.rough_path
     st = problem.step_times
     q = problem.q_exponent
@@ -544,12 +557,8 @@ def _diagnose(problem: FlowProblem, track_unwrapped: np.ndarray,
     lead = eps * np.einsum("i...am,ijm->ij...a", S, dZ)
     rem_norms = np.sqrt(((diff - lead) ** 2).sum(axis=-1)).max(axis=-1)
 
-    omega_bar = variation_control(rp_sub) + Control.interval_power(
-        sub_times, rp.p_exponent)
-    if threshold is None:
-        steps = np.asarray(omega_bar(sub_times[:-1], sub_times[1:]))
-        threshold = 4.0 * float(steps.max()) if steps.max() > 0 else 1.0
-    loc = Localization(omega_bar, threshold)
+    loc = _default_localization(variation_control(rp_sub), sub_times,
+                                rp.p_exponent, threshold)
     flow_var = localized_p_variation(increments=flow_norms[..., None], p=q,
                                      loc=loc, times=sub_times)
     rem_var = localized_p_variation(increments=rem_norms[..., None], p=q / 2.0,
@@ -557,9 +566,38 @@ def _diagnose(problem: FlowProblem, track_unwrapped: np.ndarray,
     # the DP returns Σ|g|^p over the best partition; report norms
     return FlowDiagnostics(q_exponent=q, flow_variation=flow_var ** (1.0 / q),
                            remainder_variation=rem_var ** (2.0 / q),
-                           threshold=threshold,
+                           threshold=loc.threshold,
                            particles_tracked=track_unwrapped.shape[1],
                            grid_nodes=int(sub_times.size))
+
+
+def _march(problem: FlowProblem, store_times, at_node=None) -> FlowTrajectory:
+    """The one Davie march over ``problem.step_times``, keeping snapshots.
+
+    At every step node ``k`` it calls ``at_node(k, positions, stored)``; a
+    non-``None`` return value becomes the drift held fixed over step ``k``.
+    A ``StepSizeError`` from a step gets that step's index.
+    """
+    st = problem.step_times
+    keep = _store_indices(st, store_times)
+    initial = problem.initial
+    pos = initial.positions.copy()
+    flows = []
+    for k in range(st.size):
+        stored = k in keep
+        drift = at_node(k, pos, stored) if at_node is not None else None
+        if stored:
+            flows.append(initial.with_positions(pos, time=st[k]))
+        if k == st.size - 1:
+            break
+        if drift is not None:
+            problem.drift = drift
+        try:
+            pos = davie_step(pos, st[k], st[k + 1], problem)
+        except StepSizeError as exc:
+            exc.step = k
+            raise
+    return FlowTrajectory(times=st[sorted(keep)], flows=flows)
 
 
 def solve_flow(problem: FlowProblem, *, store_times=None,
@@ -576,42 +614,19 @@ def solve_flow(problem: FlowProblem, *, store_times=None,
     """
     if check:
         problem.check()
-    st = problem.step_times
-    if store_times is None:
-        keep = {0, st.size - 1}
-    elif isinstance(store_times, str) and store_times == "steps":
-        keep = set(range(st.size))
-    else:
-        keep = set(int(i) for i in locate_nodes(st, _as_times(store_times)))
+    n = problem.initial.n_particles
+    n_track = min(diagnostic_particles, n)
+    if not n_track:
+        return _march(problem, store_times)
+    track_idx = np.linspace(0, n - 1, n_track).astype(int)
+    wrapped = np.empty((problem.step_times.size, n_track, 2))
 
-    initial = problem.initial
-    pos = initial.positions.copy()
-    flows = [initial.with_positions(pos, time=st[0])] if 0 in keep else []
-    times = [st[0]] if 0 in keep else []
+    def track(k, pos, stored):
+        wrapped[k] = pos[track_idx]
 
-    n_track = min(diagnostic_particles, initial.n_particles)
-    if n_track:
-        track_idx = np.linspace(0, initial.n_particles - 1, n_track).astype(int)
-        unwrapped = np.empty((st.size, n_track, 2))
-        wrapped = np.empty((st.size, n_track, 2))
-        unwrapped[0] = wrapped[0] = pos[track_idx]
-
-    for k in range(st.size - 1):
-        new = davie_step(pos, st[k], st[k + 1], problem)
-        if n_track:
-            delta = _nearest_image(new[track_idx] - pos[track_idx])
-            unwrapped[k + 1] = unwrapped[k] + delta
-            wrapped[k + 1] = new[track_idx]
-        pos = new
-        if k + 1 in keep:
-            flows.append(initial.with_positions(pos, time=st[k + 1]))
-            times.append(st[k + 1])
-
-    diagnostics = None
-    if n_track:
-        diagnostics = _diagnose(problem, unwrapped, wrapped, threshold)
-    return FlowTrajectory(times=np.asarray(times), flows=flows,
-                          diagnostics=diagnostics)
+    traj = _march(problem, store_times, track)
+    traj.diagnostics = _diagnose(problem, wrapped, threshold)
+    return traj
 
 
 # ---------------------------------------------------------------------------
@@ -703,42 +718,40 @@ def solve_nonlocal_flow(w0: VorticityGrid, driver: DriverPair, step_times, *,
     """Self-consistent flow whose drift is the Biot-Savart velocity of the
     transported vorticity.
 
-    Each step deposits the particle weights, solves for the velocity
-    spectrally (optionally mollifying the deposited field first), freezes that
-    field over the step, and advances with :func:`davie_step`.
-    ``drift_callback(t, velocity_grid)``, when given, observes every frozen
-    drift field — the Euler front end uses it to collect snapshots.
+    At each step node the march deposits the particle weights, solves for the
+    velocity spectrally (optionally mollifying the mean-free deposit first),
+    freezes that field over the step, and advances with :func:`davie_step`.
+    ``grids`` keeps the ``(deposit, velocity)`` pair of every stored node (the
+    last node's is computed only when stored).  ``drift_callback(t,
+    velocity_grid)``, when given, observes every frozen drift field.
     """
     N = w0.N if resolution is None else int(resolution)
     n_side = 2 * N if particles_per_side is None else int(particles_per_side)
     st = _as_times(step_times)
     initial = ParticleFlow.lattice(n_side, w0)
     problem = FlowProblem(None, driver, initial, st, q_exponent=q_exponent)
+    last = st.size - 1
+    grids = []
 
-    if store_times is None:
-        keep = {0, st.size - 1}
-    elif isinstance(store_times, str) and store_times == "steps":
-        keep = set(range(st.size))
-    else:
-        keep = set(int(i) for i in locate_nodes(st, _as_times(store_times)))
-
-    pos = initial.positions.copy()
-    flows = [initial.with_positions(pos, time=st[0])] if 0 in keep else []
-    times = [st[0]] if 0 in keep else []
-    for k in range(st.size - 1):
+    def freeze_drift(k, pos, stored):
+        if k == last and not stored:
+            return None
         w = deposit(pos, initial.weights, N)
-        w = VorticityGrid(w.values - w.mean)  # keep Biot-Savart solvable
+        centered = VorticityGrid(w.values - w.mean)  # keep Biot-Savart solvable
         if mollify_eta is not None:
-            w = mollify(w, mollify_eta)
-        u = biot_savart(w)
+            centered = mollify(centered, mollify_eta)
+        u = biot_savart(centered)
+        if stored:
+            grids.append((w, u))
+        if k == last:
+            return None
         if drift_callback is not None:
             drift_callback(st[k], u)
-        problem.drift = GridDrift([st[k]], [u], interpolation=interpolation)
-        pos = davie_step(pos, st[k], st[k + 1], problem)
-        if k + 1 in keep:
-            flows.append(initial.with_positions(pos, time=st[k + 1]))
-            times.append(st[k + 1])
-    return FlowTrajectory(times=np.asarray(times), flows=flows)
+        return GridDrift([st[k]], [u], interpolation=interpolation)
+
+    traj = _march(problem, store_times, freeze_drift)
+    traj.grids = grids
+    return traj
 
 
 # ---------------------------------------------------------------------------

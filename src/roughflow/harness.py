@@ -29,14 +29,17 @@ import numpy as np
 from .errors import GridError, HypothesisError
 from .euler import (
     FourierTestFunctions,
+    _jsonable,
     solve_rough_euler,
     weak_remainder,
 )
 from .fields import (
+    TWO_PI,
     ConstantField,
     GradPerpField,
     SumField,
     VorticityGrid,
+    _nearest_image,
     biot_savart,
     field_from_spec,
     load_field_csv,
@@ -52,9 +55,7 @@ from .flow import (
     solve_flow,
 )
 from .roughpath import DriverPair, lift_piecewise_linear, sample_fbm, variation_control
-from .variation import Control
-
-TWO_PI = 2.0 * math.pi
+from .variation import _default_localization
 
 EXPERIMENTS = ("wong_zakai", "stability", "steady_check", "remainder_scan",
                "flow_convergence")
@@ -78,20 +79,6 @@ def _canonical(value):
     if isinstance(value, (float, np.floating)):
         return float(value)
     raise GridError(f"config values must be JSON scalars/lists/dicts, got {type(value)!r}")
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
 
 
 @dataclass(frozen=True, eq=True)
@@ -249,8 +236,7 @@ def proxy_distance(values1, values2, family: FourierTestFunctions) -> float:
 
 def _particle_sup(positions1, positions2) -> float:
     """Sup over shared labels of the nearest-image particle distance."""
-    delta = np.asarray(positions1) - np.asarray(positions2)
-    delta = (delta + math.pi) % TWO_PI - math.pi
+    delta = _nearest_image(np.asarray(positions1) - np.asarray(positions2))
     return float(np.sqrt((delta ** 2).sum(axis=-1)).max())
 
 
@@ -543,10 +529,8 @@ def run_remainder_scan(config: ExperimentConfig, *, seed=None, out_dir=None
     rough = lift_piecewise_linear(base_times, values, p_exponent)
     driver = DriverPair(sigmas, rough, sign_convention=-1)
 
-    control = (variation_control(rough, base_times)
-               + Control.interval_power(base_times, p_exponent))
-    threshold = 4.0 * max(control(base_times[i], base_times[i + 1])
-                          for i in range(len(base_times) - 1))
+    threshold = _default_localization(variation_control(rough, base_times),
+                                      base_times, p_exponent).threshold
 
     rows = []
     for mesh in meshes:
@@ -620,8 +604,7 @@ def run_flow_convergence(config: ExperimentConfig, *, seed=None, out_dir=None
     def run_pair(drift2, initial2, u_diff):
         pos2 = solve_flow(FlowProblem(drift2, driver, initial2, times),
                           store_times="steps").positions_array()
-        delta = (pos1 - pos2 + math.pi) % TWO_PI - math.pi
-        left = float(np.sqrt((delta ** 2).sum(axis=-1)).max())
+        left = _particle_sup(pos1, pos2)
         # the bound is ``constant · (…)``, so scaling the unit-constant value
         # reproduces the library-constant one bit for bit
         raw = lagrangian_stability_bound(times, pos1, pos2, driver, driver,

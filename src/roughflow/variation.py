@@ -79,6 +79,17 @@ def locate_nodes(times: np.ndarray, query, *, what: str = "time") -> np.ndarray:
     return idx
 
 
+def _store_indices(step_times: np.ndarray, store_times) -> set[int]:
+    """Snapshot indices: ``None`` keeps both ends of ``step_times``,
+    ``"steps"`` every node, an increasing array of step nodes its members."""
+    if store_times is None:
+        return {0, step_times.size - 1}
+    if isinstance(store_times, str) and store_times == "steps":
+        return set(range(step_times.size))
+    return {int(i) for i in locate_nodes(step_times, _as_times(store_times),
+                                         what="store time")}
+
+
 def _thin_indices(n: int, cap: int) -> np.ndarray:
     """At most ``cap`` evenly strided indices into ``n`` nodes, both ends kept.
 
@@ -237,6 +248,17 @@ class Localization:
         """Boolean admissibility table over ``times`` (upper triangle meaningful)."""
         t = self.base_control.times if times is None else _as_times(times)
         return self.base_control.pair_table(t) <= self.threshold
+
+
+def _default_localization(omega_z: Control, times: np.ndarray, p: float,
+                          threshold: float | None = None) -> Localization:
+    """Localize by ``ω_Z + |t−s|^p``; the threshold defaults to four times
+    the largest consecutive-step control (1.0 when every step is zero)."""
+    omega = omega_z + Control.interval_power(times, p)
+    if threshold is None:
+        steps = np.asarray(omega(times[:-1], times[1:]))
+        threshold = 4.0 * float(steps.max()) if steps.max() > 0 else 1.0
+    return Localization(omega, threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,21 @@ def variation_control_table_meshgrid(rp, times, p):
     return _all_windows_dp(z_norm ** p, None) + _all_windows_dp(zz_norm ** (p / 2.0), None)
 
 
+def euler_grids_by_redeposit(flows, resolution, mollify_eta=None):
+    """``(deposit, velocity)`` of each ensemble, deposited and solved afresh:
+    the mean-free (optionally mollified) deposit's Biot-Savart field."""
+    from roughflow.fields import VorticityGrid, biot_savart, deposit, mollify
+
+    out = []
+    for flow in flows:
+        w = deposit(flow.positions, flow.weights, resolution)
+        centered = VorticityGrid(w.values - w.mean)
+        if mollify_eta is not None:
+            centered = mollify(centered, mollify_eta)
+        out.append((w, biot_savart(centered)))
+    return out
+
+
 def rk4_flow(velocity, positions, t0, t1, n_steps):
     """Classical RK4 particle integrator for ẋ = u(t, x) (no wrapping).
 

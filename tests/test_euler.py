@@ -38,6 +38,7 @@ from roughflow.roughpath import (
 from roughflow.variation import Control
 
 from reference import (
+    euler_grids_by_redeposit,
     grid_l1,
     translated_mode_pairing_defect,
     trapezoid_pair_integral,
@@ -238,6 +239,43 @@ class TestRoughEulerSolver:
         assert len(run) == 3
         assert run.final is run.states[-1]
 
+    @pytest.mark.parametrize("store_times, solves", [
+        ("steps", 9), (None, 9), ([0.0, 0.5, 1.0], 9), ([0.0, 0.5], 8)])
+    def test_march_grids_are_not_solved_again(self, monkeypatch, store_times,
+                                              solves):
+        # 8 steps: one deposit and one Biot-Savart solve per step, plus the
+        # last node's only when it is stored
+        import roughflow.euler
+        import roughflow.flow
+        calls = {"deposit": 0, "biot_savart": 0}
+        for module in (roughflow.flow, roughflow.euler):
+            for name in calls:
+                if hasattr(module, name):
+                    def counted(*args, _fn=getattr(module, name), _name=name):
+                        calls[_name] += 1
+                        return _fn(*args)
+                    monkeypatch.setattr(module, name, counted)
+        driver = scalar_brownian_driver(ShearField(0.4, 1, 0), n_seg=8, seed=4,
+                                        scale=0.4)
+        run = solve_rough_euler(shear_mode(16), driver, np.linspace(0.0, 1.0, 9),
+                                store_times=store_times)
+        assert calls == {"deposit": solves, "biot_savart": solves}
+        assert len(run) == (9 if store_times == "steps" else
+                            2 if store_times is None else len(store_times))
+
+    @pytest.mark.parametrize("mollify_eta", [None, 0.5])
+    def test_states_equal_a_fresh_deposit_and_solve(self, mollify_eta):
+        driver = scalar_brownian_driver(ShearField(0.4, 1, 0), n_seg=8, seed=4,
+                                        scale=0.4)
+        w0 = vorticity_from_modes([(1, 0, 1.0), (2, 1, 0.5)], 32)
+        run = solve_rough_euler(w0, driver, np.linspace(0.0, 1.0, 17),
+                                mollify_eta=mollify_eta, store_times="steps")
+        again = euler_grids_by_redeposit([s.particles for s in run], 32,
+                                         mollify_eta)
+        for state, (w, u) in zip(run, again, strict=True):
+            assert np.array_equal(state.vorticity.values, w.values)
+            assert np.array_equal(state.velocity, u)
+
 
 # ---------------------------------------------------------------------------
 # viscous reference solver
@@ -306,6 +344,22 @@ class TestViscousReference:
             solve_viscous_reference(w0, (ConstantField((0.0, 0.0)),),
                                     zero_driver().rough_path, 1e-3, dt=1.0 / 8,
                                     store_times=[0.3])
+
+    def test_store_times_must_increase(self):
+        # the one store-time rule of the particle solvers applies here too
+        with pytest.raises(GridError, match="increasing"):
+            solve_viscous_reference(shear_mode(16), (ConstantField((0.0, 0.0)),),
+                                    zero_driver().rough_path, 1e-3, dt=1.0 / 8,
+                                    store_times=[0.5, 0.0])
+
+    def test_cfl_guard_names_the_step(self):
+        w0 = vorticity_from_modes([(1, 0, 30.0)], 16)
+        with pytest.raises(StepSizeError) as info:
+            solve_viscous_reference(w0, (ConstantField((0.0, 0.0)),),
+                                    zero_driver().rough_path, 1e-3, dt=0.5)
+        assert info.value.step == 0
+        assert info.value.interval == (0.0, 0.5)
+        assert info.value.value > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +559,21 @@ class TestSolutionVariation:
         assert np.isfinite(diag.constant) and diag.constant > 0.0
         # measured constant stays O(10); a runaway value signals a broken bound
         assert diag.constant < 1e3
+
+    def test_pair_builds_one_variation_control(self, monkeypatch):
+        import roughflow.euler
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return variation_control(*args)
+
+        monkeypatch.setattr(roughflow.euler, "variation_control", counted)
+        driver = scalar_brownian_driver(ConstantField((0.6, 0.0)), n_seg=16, seed=5)
+        run = solve_rough_euler(shear_mode(32), driver, driver.rough_path.times,
+                                store_times="steps")
+        solution_variation_diagnostic(run, remainder=weak_remainder(run))
+        assert len(calls) == 1
 
     def test_reuses_supplied_remainder(self):
         driver = scalar_brownian_driver(ConstantField((0.6, 0.0)), n_seg=32, seed=5)

@@ -341,6 +341,34 @@ class TestGuards:
         with pytest.raises(StepSizeError, match="small-threshold"):
             solve_flow(prob)
 
+    def test_guard_errors_name_the_step(self):
+        rp = lift_piecewise_linear([0.0, 0.5, 1.0],
+                                   [[0.0, 0.0], [0.1, 0.0], [40.0, 0.0]],
+                                   p_exponent=2.0)
+        sig = (ConstantField([1.0, 0.0]), ConstantField([0.0, 1.0]))
+        prob = FlowProblem(None, DriverPair(sig, rp, 1),
+                           ParticleFlow.lattice(4), rp.times)
+        with pytest.raises(StepSizeError, match="half the domain") as info:
+            solve_flow(prob)
+        assert info.value.step == 1
+        assert info.value.interval == (0.5, 1.0)
+        assert info.value.value == pytest.approx(39.9)
+
+    def test_non_finite_positions_name_the_step(self):
+        rp = brownian_driver(3, 8)
+
+        def blows_up(t, x):
+            return np.full_like(x, np.inf if t >= 0.5 else 0.0)
+
+        drift = CallableDrift(blows_up, sup_norm=1.0, log_lipschitz=1.0)
+        prob = FlowProblem(drift, DriverPair(shear_sigma(), rp, -1),
+                           ParticleFlow.lattice(4), rp.times)
+        with pytest.raises(StepSizeError, match="non-finite") as info:
+            solve_flow(prob, check=False)
+        assert info.value.step == 4
+        assert info.value.interval == (0.5, 0.625)
+        assert info.value.value == 32          # every coordinate of 16 particles
+
     def test_check_catches_understated_sup_norm(self):
         rp = brownian_driver(0, 8)
         liar = CallableDrift(lambda t, x: np.stack(

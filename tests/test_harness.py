@@ -20,6 +20,8 @@ from roughflow.harness import (
     run_steady_check,
     run_wong_zakai,
 )
+from roughflow.roughpath import lift_piecewise_linear, sample_fbm, variation_control
+from roughflow.variation import Control, _default_localization
 
 
 def smoke_config(experiment, **overrides):
@@ -218,6 +220,18 @@ class TestRemainderScan:
         assert meta["config"] == config.to_dict()
         assert (tmp_path / "remainder_scan" / "mesh_00064" /
                 "final_field.csv").exists()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shared_threshold_matches_the_scalar_step_loop(self, seed):
+        # the scan's threshold once came from a scalar loop over the steps;
+        # the vectorized step-threshold rule gives the same bits
+        times = np.linspace(0.0, 1.0, 17)
+        rough = lift_piecewise_linear(
+            times, sample_fbm(0.45, 16, 1.0, dims=2, seed=seed), 2.4)
+        omega = variation_control(rough, times) + Control.interval_power(times, 2.4)
+        scalar = 4.0 * max(omega(times[i], times[i + 1]) for i in range(16))
+        loc = _default_localization(variation_control(rough, times), times, 2.4)
+        assert loc.threshold == scalar
 
     def test_non_nested_step_meshes_rejected(self):
         config = smoke_config("remainder_scan", meshes=(64, 96))

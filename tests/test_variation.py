@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughflow import (
@@ -103,11 +103,12 @@ def test_infeasible_threshold_reports_offending_step():
     st.lists(st.floats(-5, 5, allow_nan=False, width=32), min_size=3, max_size=9),
     st.floats(0.15, 1.0),
 )
+@example(samples=[0.0] * 6, L=0.2)  # linspace makes one step 0.2 + 1 ulp
 def test_localized_dp_matches_constrained_enumeration(samples, L):
     values = np.asarray(samples, dtype=float)
     n = values.size - 1
     times = np.linspace(0.0, 1.0, values.size)
-    if 1.0 / n > L:  # keep instances feasible
+    if np.diff(times).max() > L:  # keep instances feasible
         L = 1.5 / n
     loc = _interval_loc(times, exponent=1.0, L=L)
     got = localized_p_variation(values, 2.0, loc)
