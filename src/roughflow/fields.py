@@ -692,8 +692,14 @@ def load_field_csv(path: str) -> VorticityGrid:
     N = int(round(math.sqrt(n_sq)))
     if N * N != n_sq:
         raise GridError(f"{n_sq} rows do not form a square grid")
+    ij = raw[:, :2]
+    bad = (ij != np.round(ij)) | (ij < 0) | (ij >= N)
+    if bad.any():
+        row = int(np.argmax(bad.any(axis=1)))
+        raise GridError(f"row {row + 1}: node index ({raw[row, 0]:g}, {raw[row, 1]:g}) "
+                        f"is not an integer pair in [0, {N})")
     values = np.full((N, N), np.nan)
-    values[raw[:, 0].astype(int), raw[:, 1].astype(int)] = raw[:, 2]
+    values[ij[:, 0].astype(int), ij[:, 1].astype(int)] = raw[:, 2]
     if np.isnan(values).any():
         raise GridError("grid file does not cover every (i, j) node")
     return VorticityGrid(values)

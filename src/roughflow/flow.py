@@ -541,7 +541,6 @@ def _diagnose(problem: FlowProblem, track_wrapped: np.ndarray,
     q = problem.q_exponent
     idx = _thin_indices(st.size, _DIAG_GRID_CAP)
     sub_times = st[idx]
-    rp_sub = rp.resample(sub_times)
 
     # sup-over-particles increment norms of the flow and of its remainder
     phi = track_unwrapped[idx]           # (m, n_track, 2)
@@ -552,12 +551,11 @@ def _diagnose(problem: FlowProblem, track_wrapped: np.ndarray,
     eps = problem.driver.sign_convention
     S = np.stack([np.stack([f(track_wrapped[i]) for f in sigmas], axis=-1)
                   for i in idx])         # (m, n_track, 2, M)
-    Z = rp_sub.values
-    dZ = Z[None, :, :] - Z[:, None, :]
+    dZ = rp.pair_tables(sub_times)[0]   # zero on and below the diagonal
     lead = eps * np.einsum("i...am,ijm->ij...a", S, dZ)
     rem_norms = np.sqrt(((diff - lead) ** 2).sum(axis=-1)).max(axis=-1)
 
-    loc = _default_localization(variation_control(rp_sub), sub_times,
+    loc = _default_localization(variation_control(rp, sub_times), sub_times,
                                 rp.p_exponent, threshold)
     flow_var = localized_p_variation(increments=flow_norms[..., None], p=q,
                                      loc=loc, times=sub_times)

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, HypothesisError
-from .variation import Control, _all_windows_dp, _as_times, locate_nodes
+from .variation import (Control, _all_windows_dp, _as_times, _norms_from_increments,
+                        locate_nodes)
 
 __all__ = [
     "RoughPath",
@@ -175,27 +176,6 @@ class RoughPath:
             Z = Z + dZ
         return Z, A
 
-    def increments_along(self, step_times) -> tuple[np.ndarray, np.ndarray]:
-        """Consecutive (Z, 𝕫) increments over a step grid inside the span.
-
-        Vectorized when every step time is a node of the path's own grid,
-        which is the common case for solvers refining the driver grid.
-        """
-        st = _as_times(step_times)
-        try:
-            idx = locate_nodes(self.times, st)
-        except GridError:
-            idx = None
-        if idx is not None:
-            return (self.pair_first_level(idx[:-1], idx[1:]),
-                    self.pair_second_level(idx[:-1], idx[1:]))
-        K = st.size - 1
-        dZ = np.zeros((K, self.dim))
-        dA = np.zeros((K, self.dim, self.dim))
-        for k in range(K):
-            dZ[k], dA[k] = self.increment(st[k], st[k + 1])
-        return dZ, dA
-
     def pair_tables(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(Z, 𝕫) over every pair ``i < j`` of the grid ``times``.
 
@@ -203,8 +183,9 @@ class RoughPath:
         ``(m, m, M, M)`` with ``Z[i, j] = Z_{t_i, t_j}`` and
         ``𝕫[i, j] = 𝕫_{t_i, t_j}``; entries on and below the diagonal are
         zero.  When every time is a stored node the prefix table is indexed
-        directly (as in :meth:`increments_along`); any other grid inside the
-        span is first :meth:`resample`-d once, so off-grid windows follow the
+        directly (two table reads and one outer product per pair, as in
+        :meth:`pair_second_level`); any other grid inside the span is first
+        :meth:`resample`-d once, so off-grid windows follow the
         partial-segment convention.
         """
         t = _as_times(times)
@@ -415,8 +396,9 @@ def variation_control(rp: RoughPath, times=None, p: float | None = None) -> Cont
     path's own grid), so the table is exactly superadditive.  Intended for
     diagnostic grids: the increments are one :meth:`RoughPath.pair_tables`
     call (a direct gather when ``times`` are stored nodes, one resample
-    otherwise), and the partition DP over all windows costs O(m³) in the
-    node count ``m``.
+    otherwise), and the all-windows partition DP is one vectorized pass of
+    ``m`` steps over every start row, O(m³) arithmetic in the node count
+    ``m``, run once for each level.
     """
     t = _control_times(rp, times)
     p = rp.p_exponent if p is None else float(p)
@@ -431,7 +413,7 @@ def difference_variation_control(rp1: RoughPath, rp2: RoughPath, times,
     grids need not match as long as the span covers the requested window.
     Costs two :meth:`RoughPath.pair_tables` calls (a direct gather on each
     path whose grid contains ``times``, one resample otherwise) plus the
-    O(m³) partition DP.
+    all-windows partition DP of :func:`variation_control`.
     """
     t = _control_times(rp1, times)
     if rp1.dim != rp2.dim:
@@ -444,9 +426,8 @@ def difference_variation_control(rp1: RoughPath, rp2: RoughPath, times,
 
 def _control_from_pair_tables(t: np.ndarray, z: np.ndarray, zz: np.ndarray,
                               p: float) -> Control:
-    z_norm = np.sqrt(np.einsum("ija,ija->ij", z, z))
-    zz_norm = np.sqrt(np.einsum("ijab,ijab->ij", zz, zz))
-    table = _all_windows_dp(z_norm ** p, None) + _all_windows_dp(zz_norm ** (p / 2.0), None)
+    table = (_all_windows_dp(_norms_from_increments(z) ** p, None)
+             + _all_windows_dp(_norms_from_increments(zz) ** (p / 2.0), None))
     return Control.from_table(t, table, kind="rough-path-variation")
 
 
@@ -487,7 +468,12 @@ def load_rough_path_csv(path: str) -> RoughPath:
     if lines and lines[0].startswith("#"):
         comment = lines.pop(0)
         if "p_exponent=" in comment:
-            p_exponent = float(comment.split("p_exponent=")[1])
+            field_text = comment.split("p_exponent=")[1]
+            try:
+                p_exponent = float(field_text)
+            except ValueError:
+                raise GridError(f"malformed rough-path CSV comment: p_exponent="
+                                f"{field_text.strip()!r} is not a number") from None
     header = lines.pop(0).split(",")
     M = sum(1 for h in header if h.startswith("Z_"))
     if M == 0 or len(header) != 1 + M + M * M:

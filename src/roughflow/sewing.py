@@ -158,11 +158,6 @@ class SewingResult:
         return iter((self.values, self.max_defect))
 
 
-def _pair_norms(dense: np.ndarray) -> np.ndarray:
-    flat = dense.reshape(dense.shape[0], dense.shape[1], -1)
-    return np.sqrt(np.einsum("ijk,ijk->ij", flat, flat))
-
-
 def _sample_triples(m: int, n_triples: int, seed: int):
     """All consecutive triples, topped up with distinct random ones."""
     triples = [(i, i + 1, i + 2) for i in range(m - 2)]
@@ -221,7 +216,7 @@ def sew(times, germ, zeta: float, control, *, localization: Localization | None 
     values = np.concatenate([np.zeros((1,) + h.shape[2:]), np.cumsum(steps, axis=0)])
 
     dI = values[None, :] - values[:, None]
-    defects = _pair_norms(dI - h)
+    defects = _norms_from_increments(dI - h)
     iu, ju = np.triu_indices(m, k=1)
     keep = mask[iu, ju]
     iu, ju = iu[keep], ju[keep]
@@ -290,10 +285,9 @@ def rough_integral(Y: ControlledPath, rough_path: RoughPath | None = None, *,
     if mask is not None:
         keep = mask[iu, ju] & np.isfinite(omega_r[iu, ju]) & np.isfinite(omega_d[iu, ju])
         iu, ju = iu[keep], ju[keep]
-    germ = np.empty((iu.size,) + values.shape[1:])
-    for n, (i, j) in enumerate(zip(iu, ju)):
-        germ[n] = (np.einsum("...j,j->...", Y.values[i], rp.pair_first_level(i, j))
-                   + np.einsum("...ji,ij->...", Y.derivative[i], rp.pair_second_level(i, j)))
+    z, zz = rp.pair_tables(t)
+    germ = (np.einsum("n...j,nj->n...", Y.values[iu], z[iu, ju])
+            + np.einsum("n...ji,nij->n...", Y.derivative[iu], zz[iu, ju]))
     defect = values[ju] - values[iu] - germ
     defect = np.sqrt((defect.reshape(defect.shape[0], -1) ** 2).sum(axis=1))
     bound = (omega_r[iu, ju] ** (2.0 / p) * omega_z[iu, ju] ** (1.0 / p)

@@ -11,9 +11,12 @@ Conventions used throughout the package:
   value of the dynamic program — not its p-th root.  This keeps superadditive
   quantities superadditive and avoids needless root/power round trips.
 * All partition suprema are over partitions subordinate to the sample grid.
-  The dynamic program over partition end points is the standard O(n²) one
-  (same recursion as the classical cumulative-maximum construction used for
-  p-variation backbones).
+  One dynamic program computes them all: a Python loop over end nodes ``j``
+  updates every requested start row ``i < j`` at once with
+  ``V[i, j] = max_k V[i, k] + |g_{t_k, t_j}|^p`` over admissible last cells.
+  p-variation asks for start row 0 (O(n²) work); the all-windows tables
+  behind :func:`best_control` and the rough-path controls ask for every row
+  (O(n³) work, still one loop of n steps).
 
 Increment inputs come in two forms:
 
@@ -288,23 +291,53 @@ def _increment_norms(values=None, increments=None) -> np.ndarray:
     return _norms_from_values(values) if values is not None else _norms_from_increments(increments)
 
 
-def _partition_dp(norms_pow: np.ndarray, mask: np.ndarray | None):
-    """Maximal partition sum with optional admissibility mask.
+def _admissible_mask(loc: Localization | None, t: np.ndarray, m: int) -> np.ndarray | None:
+    """Admissibility table of ``loc`` on the ``m``-sample grid ``t`` (``None``
+    without a localization).
+
+    Raises:
+        GridError: when ``t`` does not have one node per sample.
+        InfeasibleLocalizationError: when a consecutive step already violates
+            the threshold (``step`` is the first such index), so no
+            admissible partition exists.
+    """
+    if t.size != m:
+        raise GridError(f"grid has {t.size} nodes but the path has {m} samples")
+    if loc is None:
+        return None
+    mask = loc.mask(t)
+    step_ok = np.diagonal(mask, offset=1)
+    if not np.all(step_ok):
+        i = int(np.argmin(step_ok))
+        raise InfeasibleLocalizationError(
+            f"no admissible partition: consecutive step ({t[i]:g}, {t[i + 1]:g}) has "
+            f"control {float(loc.base_control(t[i], t[i + 1])):.6g} > threshold "
+            f"{loc.threshold:.6g}", step=i)
+    return mask
+
+
+def _partition_dp(norms_pow: np.ndarray, mask: np.ndarray | None, starts: int):
+    """Maximal (masked) partition sums from each of the first ``starts`` nodes.
+
+    ``V[i, j]`` is the best sum of ``norms_pow`` over partitions of the
+    window ``[t_i, t_j]`` whose cells are all admissible (``-inf`` when none
+    is), and ``pred[i, j]`` the last interior node of a maximizer.  Entries
+    with ``j <= i`` are ``0`` on the diagonal and ``-inf`` below it.
 
     Returns:
-        (value array V over end nodes, predecessor array for reconstruction)
+        (V, pred), both of shape ``(starts, m)``.
     """
     m = norms_pow.shape[0]
-    V = np.full(m, -np.inf)
-    V[0] = 0.0
-    pred = np.full(m, -1, dtype=int)
+    V = np.full((starts, m), -np.inf)
+    np.fill_diagonal(V, 0.0)
+    pred = np.full((starts, m), -1, dtype=int)
     for j in range(1, m):
-        cand = V[:j] + norms_pow[:j, j]
+        h = min(j, starts)
+        cand = V[:h, :j] + norms_pow[:j, j]
         if mask is not None:
             cand = np.where(mask[:j, j], cand, -np.inf)
-        k = int(np.argmax(cand))
-        V[j] = cand[k]
-        pred[j] = k
+        V[:h, j] = cand.max(axis=1)
+        pred[:h, j] = cand.argmax(axis=1)
     return V, pred
 
 
@@ -338,10 +371,10 @@ def p_variation(values=None, p: float = 2.0, *, increments=None,
     norms = _increment_norms(values, increments)
     if norms.shape[0] == 1:
         return (0.0, [0]) if return_partition else 0.0
-    V, pred = _partition_dp(norms ** p, None)
-    value = float(V[-1])
+    V, pred = _partition_dp(norms ** p, None, 1)
+    value = float(V[0, -1])
     if return_partition:
-        return value, _walk_partition(pred, norms.shape[0] - 1)
+        return value, _walk_partition(pred[0], norms.shape[0] - 1)
     return value
 
 
@@ -366,39 +399,20 @@ def localized_p_variation(values=None, p: float = 2.0, loc: Localization | None 
     norms = _increment_norms(values, increments)
     m = norms.shape[0]
     t = _as_times(times) if times is not None else loc.base_control.times
-    if t.size != m:
-        raise GridError(f"grid has {t.size} nodes but the path has {m} samples")
+    mask = _admissible_mask(loc, t, m)
     if m == 1:
         return (0.0, [0]) if return_partition else 0.0
-    mask = loc.mask(t)
-    step_ok = np.diagonal(mask, offset=1)
-    if not np.all(step_ok):
-        i = int(np.argmin(step_ok))
-        raise InfeasibleLocalizationError(
-            f"no admissible partition: consecutive step ({t[i]:g}, {t[i + 1]:g}) has "
-            f"control {float(loc.base_control(t[i], t[i + 1])):.6g} > threshold "
-            f"{loc.threshold:.6g}", step=i)
-    V, pred = _partition_dp(norms ** p, mask)
-    value = float(V[-1])
+    V, pred = _partition_dp(norms ** p, mask, 1)
+    value = float(V[0, -1])
     if return_partition:
-        return value, _walk_partition(pred, m - 1)
+        return value, _walk_partition(pred[0], m - 1)
     return value
 
 
 def _all_windows_dp(norms_pow: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Table ``V[i, j]`` of maximal (masked) partition sums over every window."""
-    m = norms_pow.shape[0]
-    V = np.zeros((m, m))
-    for i in range(m - 1):
-        row = np.full(m, -np.inf)
-        row[i] = 0.0
-        for j in range(i + 1, m):
-            cand = row[i:j] + norms_pow[i:j, j]
-            if mask is not None:
-                cand = np.where(mask[i:j, j], cand, -np.inf)
-            row[j] = cand.max()
-        V[i, i + 1:] = row[i + 1:]
-    return V
+    """Table ``V[i, j]`` of maximal (masked) partition sums over every window
+    ``i < j``; zero on and below the diagonal."""
+    return np.triu(_partition_dp(norms_pow, mask, norms_pow.shape[0])[0], 1)
 
 
 def best_control(values=None, p: float = 2.0, loc: Localization | None = None, *,
@@ -414,7 +428,9 @@ def best_control(values=None, p: float = 2.0, loc: Localization | None = None, *
 
     Without ``loc`` the unrestricted variant is returned.
 
-    Cost is O(m³) in the number of grid nodes — intended for diagnostic grids.
+    Cost is O(m³) arithmetic in the number of grid nodes, done as one
+    vectorized DP pass of ``m`` steps over all start rows — intended for
+    diagnostic grids.
     """
     norms = _increment_norms(values, increments)
     m = norms.shape[0]
@@ -424,21 +440,11 @@ def best_control(values=None, p: float = 2.0, loc: Localization | None = None, *
         t = loc.base_control.times
     else:
         raise GridError("best_control needs `times` when no localization is given")
-    if t.size != m:
-        raise GridError(f"grid has {t.size} nodes but the path has {m} samples")
-    mask = None
-    if loc is not None:
-        if p <= 0:
-            raise HypothesisError(f"best control requires p > 0, got p={p}")
-        mask = loc.mask(t)
-        step_ok = np.diagonal(mask, offset=1)
-        if not np.all(step_ok):
-            i = int(np.argmin(step_ok))
-            raise InfeasibleLocalizationError(
-                f"best control undefined: consecutive step ({t[i]:g}, {t[i + 1]:g}) "
-                f"violates the localization threshold", step=i)
-    elif p < 1:
+    if loc is not None and p <= 0:
+        raise HypothesisError(f"best control requires p > 0, got p={p}")
+    if loc is None and p < 1:
         raise HypothesisError(f"unlocalized best control requires p >= 1, got p={p}")
+    mask = _admissible_mask(loc, t, m)
     table = _all_windows_dp(norms ** p, mask)
     tag = f"best-control(p={p:g}" + (f", L={loc.threshold:g})" if loc is not None else ")")
     return Control.from_table(t, table, kind=tag)

@@ -127,6 +127,63 @@ def variation_control_table_meshgrid(rp, times, p):
     return _all_windows_dp(z_norm ** p, None) + _all_windows_dp(zz_norm ** (p / 2.0), None)
 
 
+def all_windows_dp_by_rows(norms_pow, mask):
+    """Table ``V[i, j]`` of maximal (masked) partition sums over every window,
+    one DP row per start node ``i`` (the nested loop the library used before
+    its one DP over start rows and end nodes)."""
+    m = norms_pow.shape[0]
+    V = np.zeros((m, m))
+    for i in range(m - 1):
+        row = np.full(m, -np.inf)
+        row[i] = 0.0
+        for j in range(i + 1, m):
+            cand = row[i:j] + norms_pow[i:j, j]
+            if mask is not None:
+                cand = np.where(mask[i:j, j], cand, -np.inf)
+            row[j] = cand.max()
+        V[i, i + 1:] = row[i + 1:]
+    return V
+
+
+def local_error_report_by_pairs(Y, localization=None):
+    """``rough_integral``'s local-error report with the germ built pair by pair.
+
+    Every other quantity is formed as in the library, so the report must
+    match field for field; only the per-pair ``pair_first_level`` /
+    ``pair_second_level`` germ loop differs.
+    """
+    from roughflow.roughpath import variation_control
+    from roughflow.sewing import LocalErrorReport, rough_integral
+    from roughflow.variation import _all_windows_dp, _norms_from_increments, _norms_from_values
+
+    rp = Y.rough_path
+    values = rough_integral(Y).values
+    p = rp.p_exponent
+    t = rp.times
+    m = t.shape[0]
+    mask = localization.mask(t) if localization is not None else None
+    omega_z = variation_control(rp).pair_table(t)
+    omega_r = _all_windows_dp(_norms_from_increments(Y.remainder_matrix()) ** (p / 2.0), mask)
+    omega_d = _all_windows_dp(_norms_from_values(Y.derivative) ** p, mask)
+
+    iu, ju = np.triu_indices(m, k=1)
+    if mask is not None:
+        keep = mask[iu, ju] & np.isfinite(omega_r[iu, ju]) & np.isfinite(omega_d[iu, ju])
+        iu, ju = iu[keep], ju[keep]
+    germ = np.empty((iu.size,) + values.shape[1:])
+    for n, (i, j) in enumerate(zip(iu, ju)):
+        germ[n] = (np.einsum("...j,j->...", Y.values[i], rp.pair_first_level(i, j))
+                   + np.einsum("...ji,ij->...", Y.derivative[i], rp.pair_second_level(i, j)))
+    defect = values[ju] - values[iu] - germ
+    defect = np.sqrt((defect.reshape(defect.shape[0], -1) ** 2).sum(axis=1))
+    bound = (omega_r[iu, ju] ** (2.0 / p) * omega_z[iu, ju] ** (1.0 / p)
+             + omega_d[iu, ju] ** (1.0 / p) * omega_z[iu, ju] ** (2.0 / p))
+    pos = bound > 0
+    constant = float((defect[pos] / bound[pos]).max()) if pos.any() else 0.0
+    return LocalErrorReport(max_defect=float(defect.max()) if defect.size else 0.0,
+                            constant=constant, pairs_checked=int(iu.size))
+
+
 def euler_grids_by_redeposit(flows, resolution, mollify_eta=None):
     """``(deposit, velocity)`` of each ensemble, deposited and solved afresh:
     the mean-free (optionally mollified) deposit's Biot-Savart field."""

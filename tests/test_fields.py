@@ -460,6 +460,15 @@ class TestFieldSerialization:
         with pytest.raises(GridError):
             load_field_csv(path)
 
+    @pytest.mark.parametrize("bad_row", ["-1,-1,5.0", "4,0,5.0", "1.5,0,5.0"])
+    def test_csv_rejects_node_indices_off_the_grid(self, tmp_path, bad_row):
+        # a 4×4 file whose last row names a node outside [0, 4)² (or between nodes)
+        rows = [f"{i},{j},1.0" for i in range(4) for j in range(4)][:-1] + [bad_row]
+        path = tmp_path / "bad.csv"
+        path.write_text("i,j,value\n" + "\n".join(rows) + "\n")
+        with pytest.raises(GridError, match="not an integer pair"):
+            load_field_csv(path)
+
     def test_binary_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not a grid at all")

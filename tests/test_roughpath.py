@@ -341,3 +341,14 @@ def test_csv_loader_rejects_corruption(tmp_path):
     trunc.write_text("\n".join(["t,Z_1", "0.0,0.0", "1.0,1.0"]))
     with pytest.raises(GridError):
         load_rough_path_csv(str(trunc))
+
+
+def test_csv_loader_rejects_malformed_exponent_comment(tmp_path):
+    rp = brownian_lift(seed=23, n=8)
+    path = tmp_path / "driver.csv"
+    save_rough_path_csv(rp, str(path))
+    lines = path.read_text().splitlines()
+    lines[0] = "# p_exponent=abc"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GridError, match="p_exponent"):
+        load_rough_path_csv(str(path))

@@ -15,7 +15,7 @@ from roughflow.sewing import (
 )
 from roughflow.variation import Control, Localization, p_variation
 
-from reference import riemann_stieltjes
+from reference import local_error_report_by_pairs, riemann_stieltjes
 
 
 def unit_times(n):
@@ -224,6 +224,20 @@ class TestRoughIntegral:
         I, rep = rough_integral(sine_integrand(rp), localization=loc, report=True)
         assert rep.pairs_checked < 65 * 64 // 2
         assert np.isfinite(rep.constant)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    @pytest.mark.parametrize("localized", [False, True])
+    def test_report_matches_per_pair_germs(self, dims, localized):
+        from roughflow.roughpath import variation_control
+        _, rp = brownian_lift(10 + dims, n=48, dims=dims)
+        rng = np.random.default_rng(dims)
+        Y = ControlledPath(rp, rng.standard_normal((49, 3, dims)),
+                           rng.standard_normal((49, 3, dims, dims)))
+        loc = Localization(variation_control(rp), threshold=0.3) if localized else None
+        _, rep = rough_integral(Y, localization=loc, report=True)
+        assert rep == local_error_report_by_pairs(Y, loc)
+        if localized:
+            assert rep.pairs_checked < 49 * 48 // 2
 
     def test_driver_grid_mismatch(self):
         _, rp1 = brownian_lift(9, n=32)

@@ -1,4 +1,5 @@
-"""Source structure: shared torus and JSON helpers are defined exactly once."""
+"""Source structure: shared helpers (torus, JSON, partition DP, admissibility)
+are defined exactly once."""
 
 import ast
 import pathlib
@@ -26,6 +27,7 @@ def definitions(name):
     return found
 
 
-@pytest.mark.parametrize("name", ["TWO_PI", "_nearest_image", "_jsonable"])
+@pytest.mark.parametrize("name", ["TWO_PI", "_nearest_image", "_jsonable",
+                                  "_partition_dp", "_admissible_mask"])
 def test_helper_is_defined_once(name):
     assert len(definitions(name)) == 1, definitions(name)

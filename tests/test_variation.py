@@ -19,7 +19,13 @@ from roughflow import (
     p_variation,
     rough_gronwall_bound,
 )
-from reference import increment_norms, pvar_by_enumeration
+from roughflow.variation import (
+    _all_windows_dp,
+    _norms_from_increments,
+    _partition_dp,
+    _walk_partition,
+)
+from reference import all_windows_dp_by_rows, increment_norms, pvar_by_enumeration
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +228,71 @@ def test_best_control_full_interval_equals_p_variation():
     times = np.linspace(0.0, 1.0, 5)
     ctrl = best_control(values, 2.0, times=times)
     assert ctrl(0.0, 1.0) == 4.0
+
+
+def test_best_control_infeasible_first_step_is_reported():
+    times = np.array([0.0, 0.5, 0.75, 1.0])
+    loc = _interval_loc(times, exponent=1.0, L=0.3)  # only the first step exceeds L
+    with pytest.raises(InfeasibleLocalizationError) as exc:
+        best_control([0.0, 1.0, 0.5, 2.0], 2.0, loc)
+    assert exc.value.step == 0
+
+
+# ---------------------------------------------------------------------------
+# the one partition DP against the per-row reference
+# ---------------------------------------------------------------------------
+
+def _dp_instance(seed, m, mask_kind):
+    """Random two-index increments and an admissibility mask of one kind."""
+    rng = np.random.default_rng(seed)
+    increments = rng.standard_normal((m, m, 1)) * rng.uniform(0.1, 10.0)
+    if mask_kind == "none":
+        return increments, None
+    if mask_kind == "banded":  # cells of at most `band` steps
+        idx = np.arange(m)
+        mask = idx[None, :] - idx[:, None] <= rng.integers(1, m)
+    else:
+        mask = rng.random((m, m)) < 0.6
+        mask[np.arange(m - 1), np.arange(1, m)] = True
+        if mask_kind == "infeasible-windows":  # windows across step k get -inf
+            k = rng.integers(m - 1)
+            mask[k, k + 1] = False
+    return increments, mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(2, 14),
+    st.sampled_from(["none", "banded", "random", "infeasible-windows"]),
+    st.sampled_from([0.5, 1.0, 2.2, 3.0]),
+)
+def test_all_windows_dp_matches_per_row_reference(seed, m, mask_kind, p):
+    increments, mask = _dp_instance(seed, m, mask_kind)
+    norms_pow = _norms_from_increments(increments) ** p
+    got = _all_windows_dp(norms_pow, mask)
+    want = all_windows_dp_by_rows(norms_pow, mask)
+    assert got.tobytes() == want.tobytes()
+
+    # row 0 of the all-windows pass is the p-variation DP of the whole path
+    V, pred = _partition_dp(norms_pow, mask, m)
+    times = np.linspace(0.0, 1.0, m)
+    if mask is None:
+        if p >= 1:
+            value, nodes = p_variation(increments=increments, p=p, return_partition=True)
+            assert (value, nodes) == (V[0, -1], _walk_partition(pred[0], m - 1))
+        return
+    # a table control whose admissibility table on ``times`` is ``mask``
+    loc = Localization(Control.from_table(times, np.where(mask, 0.0, 2.0)), 1.0)
+    steps_ok = np.diagonal(mask, offset=1)
+    if not steps_ok.all():
+        with pytest.raises(InfeasibleLocalizationError) as exc:
+            localized_p_variation(increments=increments, p=p, loc=loc)
+        assert exc.value.step == int(np.argmin(steps_ok))
+        return
+    value, nodes = localized_p_variation(increments=increments, p=p, loc=loc,
+                                         return_partition=True)
+    assert (value, nodes) == (V[0, -1], _walk_partition(pred[0], m - 1))
 
 
 # ---------------------------------------------------------------------------
