@@ -377,6 +377,12 @@ class FourierTestFunctions:
 
     The proxy is a genuine lower bound of each dual norm and is reproducible:
     the family never changes between runs.
+
+    The ``*_at`` methods and the particle pairings evaluate members and
+    transports point by point.  :func:`weak_remainder` does not call them: per
+    snapshot it builds one ``cos(k·x)`` and one ``sin(k·x)`` table at the
+    particles and contracts them with weight-times-coefficient rows; the
+    pointwise methods are the reference that contraction is tested against.
     """
 
     def __init__(self, resolution: int, wavevectors=None):
@@ -502,6 +508,64 @@ class FourierTestFunctions:
         return out
 
 
+def _particle_pairings(family: FourierTestFunctions, sigmas, positions, weights,
+                       velocities):
+    """One snapshot's particle quadratures against the family and its transports.
+
+    Returns ``(P, G, PS, PSS)`` with ``P[f] = ∫ w ψ_f``, ``G[f] = ∫ w u·∇ψ_f``,
+    ``PS[j, f] = ∫ w σ_j·∇ψ_f`` and ``PSS[i, j, f] = ∫ w σ_i·∇(σ_j·∇ψ_f)``
+    (the pointwise methods of :class:`FourierTestFunctions` summed against
+    the weights).  The weights are contracted first, into coefficient rows
+    ``w``, ``w·u``, ``w·σ_j``, ``w·(σ_i·∇)σ_j`` and ``w·σ_i⊗σ_j`` (the product
+    rule of ``σ_i·∇(σ_j·∇ψ)``); the rows meet one ``cos(k·x)`` and one
+    ``sin(k·x)`` table in two matrix products.  Every derivative of
+    ``cos(k·x)`` or ``sin(k·x)`` is a k-factor times one of those two, so no
+    transport is evaluated per point and the per-point tables stay local here.
+    """
+    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
+    w = np.asarray(weights, dtype=float).ravel()
+    n, M = w.size, len(sigmas)
+    sig = np.empty((M, 2, n))                     # σ_j^a
+    jac = np.empty((M, 2, 2, n))                  # [j, b, a] = ∂_a σ_j^b
+    for j, s in enumerate(sigmas):
+        sig[j] = np.asarray(s(pts), dtype=float).T
+        jac[j] = np.asarray(s.gradient(pts), dtype=float).transpose(1, 2, 0)
+    rows = np.concatenate([
+        w[None],
+        w * np.asarray(velocities, dtype=float).reshape(-1, 2).T,
+        (w * sig).reshape(2 * M, n),
+        (w * np.einsum("ian,jban->ijbn", sig, jac)).reshape(2 * M * M, n),
+        (w * sig[:, None, :, None] * sig[None, :, None, :]).reshape(4 * M * M, n),
+    ])
+    theta = pts @ family._ks.T                    # (n, K)
+    C = rows @ np.cos(theta)                      # (rows, K)
+    S = rows @ np.sin(theta)
+    k = family._ks                                # (K, 2)
+    kk = k[:, :, None] * k[:, None, :]            # (K, 2, 2)
+
+    def grad(lo, hi, shape):
+        # v·∇cos(k·x) = −(k·v) sin(k·x),  v·∇sin(k·x) = (k·v) cos(k·x)
+        c = C[lo:hi].reshape(shape + (2, -1))
+        s = S[lo:hi].reshape(shape + (2, -1))
+        return np.concatenate([-np.einsum("...aK,Ka->...K", s, k),
+                               np.einsum("...aK,Ka->...K", c, k)], axis=-1)
+
+    def hess(lo, hi, shape):
+        # m:∇∇cos(k·x) = −(k·m·k) cos(k·x),  and the same for sin
+        c = C[lo:hi].reshape(shape + (2, 2, -1))
+        s = S[lo:hi].reshape(shape + (2, 2, -1))
+        return -np.concatenate([np.einsum("...abK,Kab->...K", c, kk),
+                                np.einsum("...abK,Kab->...K", s, kk)], axis=-1)
+
+    quad = TWO_PI ** 2 / n
+    a, b = 3 + 2 * M, 3 + 2 * M + 2 * M * M
+    P = quad * np.concatenate([C[0], S[0]])
+    G = quad * grad(1, 3, ())
+    PS = quad * grad(3, a, (M,))
+    PSS = quad * (grad(a, b, (M, M)) + hess(b, rows.shape[0], (M, M)))
+    return P, G, PS, PSS
+
+
 # ---------------------------------------------------------------------------
 # weak-formulation diagnostics
 # ---------------------------------------------------------------------------
@@ -514,6 +578,8 @@ class WeakRemainder:
     family axis where noted.  ``mu_values`` is the full antisymmetric table
     ``c_j − c_i`` of the cumulative drift; every other table is populated on
     the upper triangle ``i < j`` only and is zero on and below the diagonal.
+    ``pairings[k, f]`` is the particle pairing ``w_{t_k}(ψ_f)`` of snapshot
+    ``k``, which :func:`solution_variation_diagnostic` reads back.
 
     The remainder ``R = w_{s,t}(ψ) − μ − w_s(A*ψ)`` is normalized by the
     family's W^{3,1} norms into ``remainder_norms`` — the dual-norm proxy
@@ -533,6 +599,7 @@ class WeakRemainder:
 
     times: np.ndarray
     test_functions: FourierTestFunctions
+    pairings: np.ndarray           # (n, F) particle pairings w_t(ψ_f)
     mu_values: np.ndarray          # (n, n, F)
     driver_terms: np.ndarray       # (n, n, F)
     remainder_values: np.ndarray   # (n, n, F)
@@ -567,7 +634,11 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     than the ``O(h²)`` deposition error of the grid snapshots (which would
     bury the third-order remainder at any affordable resolution).  The
     velocity still comes from the stored grids, interpolated to the
-    particles.
+    particles.  Each snapshot builds one ``cos(k·x)`` and one ``sin(k·x)``
+    table at its particles; the weights, velocities and coefficient fields are
+    contracted into rows that meet those two tables in two matrix products,
+    and every pairing (``ψ``, ``u·∇ψ``, ``σ_j·∇ψ``, ``σ_i·∇(σ_j·∇ψ)``) is a
+    k-factor combination of the results.
 
     Needs densely stored snapshots (``store_times="steps"``): the drift term
     ``μ_{s,t}(ψ) = ∫ₛᵗ ∫ w u·∇ψ dx dr`` is a composite trapezoid over stored
@@ -600,16 +671,11 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     M = len(sigmas)
     PS = np.empty((n, M, F))
     PSS = np.empty((n, M, M, F))
-    quad_p = TWO_PI ** 2 / weights.size
     for k, s in enumerate(states):
         pos = s.particles.positions
-        w = s.particles.weights
-        P[k] = fam.pair_particles(pos, w)
         u_p = interpolate_velocity(s.velocity, pos, method=interpolation)
-        G[k] = fam.flux_pair_particles(pos, w, u_p)
-        PS[k] = quad_p * np.einsum("jfn,n->jf", fam.transport_at(sigmas, pos), w)
-        PSS[k] = quad_p * np.einsum("ijfn,n->ijf",
-                                    fam.second_transport_at(sigmas, pos), w)
+        P[k], G[k], PS[k], PSS[k] = _particle_pairings(
+            fam, sigmas, pos, s.particles.weights, u_p)
 
     # composite-trapezoid cumulative drift, exactly additive over the grid
     dt_steps = np.diff(times)
@@ -682,7 +748,7 @@ def weak_remainder(trajectory: EulerTrajectory, *,
                         - np.einsum("a,b,abf->f", dZ[i, j], dZ[j, k], PSS[i]))
                 defect = max(defect, float(np.abs(delta - pred).max()))
 
-    return WeakRemainder(times=times, test_functions=fam, mu_values=mu,
+    return WeakRemainder(times=times, test_functions=fam, pairings=P, mu_values=mu,
                          driver_terms=driver_terms, remainder_values=R,
                          remainder_norms=remainder_norms,
                          variation_power=float(var_power), p_exponent=p,
@@ -737,9 +803,7 @@ def solution_variation_diagnostic(trajectory: EulerTrajectory, *,
     if idx.size != n or not np.array_equal(trajectory.times[idx], times):
         raise GridError("the remainder ledger was computed on a different "
                         "snapshot subgrid; pass matching grid_cap")
-    states = [trajectory[int(k)] for k in idx]
-    P = np.stack([fam.pair_particles(s.particles.positions,
-                                     s.particles.weights) for s in states])
+    P = remainder.pairings
     dP = P[None, :, :] - P[:, None, :]
     D = np.triu(np.abs(dP / fam.w1_norms).max(axis=-1))
     loc = remainder.localization
@@ -747,7 +811,7 @@ def solution_variation_diagnostic(trajectory: EulerTrajectory, *,
 
     Ti, Tj = np.meshgrid(times, times, indexing="ij")
     gap = np.triu(Tj - Ti, k=1)
-    sup_w = float(np.abs(states[0].particles.weights).max())
+    sup_w = float(np.abs(trajectory[int(idx[0])].particles.weights).max())
     omega_nat = remainder.remainder_norms ** (p / 3.0)
     bound = (1.0 + sup_w) ** (2 * p) * (gap ** p + remainder.omega_a + omega_nat)
 

@@ -521,25 +521,37 @@ def interpolate(field, points, method: str = "spectral", upsample: int = 4):
     """
     values = field.values if isinstance(field, VorticityGrid) else np.asarray(field, float)
     pts = np.asarray(points, dtype=float)
+    return _interp_components([values], pts, method, upsample)[0, ...]
+
+
+def _interp_components(values, pts: np.ndarray, method: str,
+                       upsample: int) -> np.ndarray:
+    """Each ``(N, N)`` grid in ``values`` at ``pts``, shape ``(C,) + pts.shape[:-1]``.
+
+    The point stencil is built once and shared by every component; each
+    component's result equals a one-component call bit for bit.
+    """
     if pts.shape[-1] != 2:
         raise GridError("points must have a trailing axis of size 2")
     flat = pts.reshape(-1, 2) % TWO_PI
     if method == "spectral":
         out = _interp_spectral(values, flat)
     elif method == "cubic":
-        out = _interp_cubic([values], flat, upsample)[0]
+        out = _interp_cubic(values, flat, upsample)
     else:
         raise GridError(f"unknown interpolation method {method!r}")
-    return out.reshape(pts.shape[:-1])
+    return out.reshape((len(values),) + pts.shape[:-1])
 
 
-def _interp_spectral(values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    N = values.shape[0]
+def _interp_spectral(values, pts: np.ndarray) -> np.ndarray:
+    """The trigonometric interpolant of each ``(N, N)`` grid in ``values`` at
+    ``pts``, shape ``(C, n_pts)``; the phase tables are built once."""
+    N = values[0].shape[0]
     k = np.fft.fftfreq(N, d=1.0 / N)
-    what = np.fft.fft2(values)
     e1 = np.exp(1j * pts[:, 0, None] * k[None, :])
     e2 = np.exp(1j * pts[:, 1, None] * k[None, :])
-    return np.einsum("pa,ab,pb->p", e1, what, e2).real / (N * N)
+    return np.stack([np.einsum("pa,ab,pb->p", e1, np.fft.fft2(c), e2).real / (N * N)
+                     for c in values])
 
 
 def _spectral_upsample(values: np.ndarray, r: int) -> np.ndarray:
@@ -602,11 +614,13 @@ def _interp_cubic(values, pts: np.ndarray, r: int) -> np.ndarray:
 
 def interpolate_velocity(u: np.ndarray, points, method: str = "cubic",
                          upsample: int = 4) -> np.ndarray:
-    """Componentwise interpolation of a ``(2, N, N)`` velocity field."""
+    """Componentwise interpolation of a ``(2, N, N)`` velocity field.
+
+    Both components share one point stencil; each equals its own
+    :func:`interpolate` call bit for bit.
+    """
     pts = np.asarray(points, dtype=float)
-    out = np.stack([interpolate(u[0], pts, method=method, upsample=upsample),
-                    interpolate(u[1], pts, method=method, upsample=upsample)], axis=-1)
-    return out
+    return np.stack(_interp_components([u[0], u[1]], pts, method, upsample), axis=-1)
 
 
 def deposit(positions, weights, resolution: int) -> VorticityGrid:

@@ -249,3 +249,17 @@ def trapezoid_pair_integral(times, values):
     out = np.zeros_like(f)
     out[1:] = np.cumsum(inc, axis=0)
     return out
+
+
+def particle_pairings_by_points(family, sigmas, positions, weights, velocities):
+    """One snapshot's ``(P, G, PS, PSS)`` from the family's pointwise methods:
+    every member, gradient and transport evaluated at every particle, then
+    summed against the weights with the particle quadrature ``(2π)²/n``."""
+    w = np.asarray(weights, dtype=float).ravel()
+    quad = (2.0 * np.pi) ** 2 / w.size
+    P = family.pair_particles(positions, w)
+    G = family.flux_pair_particles(positions, w, velocities)
+    PS = quad * np.einsum("jfn,n->jf", family.transport_at(sigmas, positions), w)
+    PSS = quad * np.einsum("ijfn,n->ijf",
+                           family.second_transport_at(sigmas, positions), w)
+    return P, G, PS, PSS

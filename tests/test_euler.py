@@ -13,6 +13,7 @@ from roughflow.euler import (
     EulerState,
     EulerTrajectory,
     FourierTestFunctions,
+    _particle_pairings,
     load_run,
     save_run,
     solution_variation_diagnostic,
@@ -24,6 +25,7 @@ from roughflow.fields import (
     ConstantField,
     GradPerpField,
     ShearField,
+    SumField,
     biot_savart,
     nodes_1d,
     vorticity_from_modes,
@@ -40,6 +42,7 @@ from roughflow.variation import Control
 from reference import (
     euler_grids_by_redeposit,
     grid_l1,
+    particle_pairings_by_points,
     translated_mode_pairing_defect,
     trapezoid_pair_integral,
 )
@@ -163,6 +166,61 @@ class TestFourierFamily:
         combined = fam.pair_particles(pts, a * w1 + b * w2)
         split = a * fam.pair_particles(pts, w1) + b * fam.pair_particles(pts, w2)
         assert np.abs(combined - split).max() < 1e-9 * (1 + np.abs(split).max())
+
+
+def random_field(kind, rng):
+    """A catalog field with random parameters: constant, shear, grad-perp or sum."""
+    if kind == 0:
+        return ConstantField(rng.uniform(-1.0, 1.0, 2))
+    if kind == 1:
+        return ShearField(rng.uniform(-1.0, 1.0), int(rng.integers(1, 4)),
+                          int(rng.integers(0, 2)), rng.uniform(0.0, TWO_PI))
+    if kind == 2:
+        return GradPerpField(rng.uniform(-1.0, 1.0),
+                             (int(rng.integers(1, 4)), int(rng.integers(-3, 4))),
+                             rng.uniform(0.0, TWO_PI))
+    return SumField(random_field(1, rng), random_field(2, rng))
+
+
+class TestParticlePairings:
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.integers(0, 3), min_size=1, max_size=3),
+           st.integers(1, 60), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_contraction_matches_pointwise_reference(self, seed, kinds, n, custom):
+        rng = np.random.default_rng(seed)
+        fam = (FourierTestFunctions(32, wavevectors=[(1, 2), (3, -1), (0, 5)])
+               if custom else FourierTestFunctions(32))
+        sigmas = tuple(random_field(kind, rng) for kind in kinds)
+        pts = rng.uniform(-1.0, 7.0, (n, 2))
+        w = rng.normal(size=n)
+        u = rng.normal(size=(n, 2))
+        fast = _particle_pairings(fam, sigmas, pts, w, u)
+        slow = particle_pairings_by_points(fam, sigmas, pts, w, u)
+        for got, want in zip(fast, slow):
+            assert got.shape == want.shape
+            scale = max(float(np.abs(want).max()), 1e-300)
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_weak_remainder_evaluates_no_pointwise_table(self, monkeypatch):
+        driver = scalar_brownian_driver(ShearField(0.5, 1, 0), n_seg=8, seed=9,
+                                        scale=0.5)
+        run = solve_rough_euler(shear_mode(32), driver, np.linspace(0.0, 1.0, 9),
+                                store_times="steps")
+        calls = []
+        for name in ("at_points", "gradients_at", "hessians_at", "pair_particles",
+                     "flux_pair_particles", "transport_at", "second_transport_at"):
+            original = getattr(FourierTestFunctions, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(FourierTestFunctions, name, counted)
+        result = weak_remainder(run)
+        assert calls == []
+        assert result.pairings.shape == (result.times.size,
+                                          result.test_functions.size)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +632,22 @@ class TestSolutionVariation:
                                 store_times="steps")
         solution_variation_diagnostic(run, remainder=weak_remainder(run))
         assert len(calls) == 1
+
+    def test_supplied_remainder_pairs_no_snapshot_again(self, monkeypatch):
+        driver = scalar_brownian_driver(ConstantField((0.6, 0.0)), n_seg=16, seed=5)
+        run = solve_rough_euler(shear_mode(32), driver, driver.rough_path.times,
+                                store_times="steps")
+        remainder = weak_remainder(run)
+        calls = []
+        at_points = FourierTestFunctions.at_points
+
+        def counted(self, points):
+            calls.append(points)
+            return at_points(self, points)
+
+        monkeypatch.setattr(FourierTestFunctions, "at_points", counted)
+        solution_variation_diagnostic(run, remainder=remainder)
+        assert calls == []
 
     def test_reuses_supplied_remainder(self):
         driver = scalar_brownian_driver(ConstantField((0.6, 0.0)), n_seg=32, seed=5)

@@ -372,6 +372,21 @@ class TestInterpolate:
         assert out.shape == (50, 2)
         assert np.array_equal(out[:, 0], interpolate(u[0], pts, method="spectral"))
 
+    @pytest.mark.parametrize("method", ["spectral", "cubic"])
+    @pytest.mark.parametrize("shape", [(30, 2), (3, 7, 2)])
+    def test_velocity_interpolation_is_componentwise_bitwise(self, method, shape):
+        rng = np.random.default_rng(28)
+        u = rng.standard_normal((2, 16, 16))
+        pts = rng.uniform(-1.0, 7.0, shape)
+        out = interpolate_velocity(u, pts, method=method)
+        assert out.shape == shape
+        for a in range(2):
+            assert np.array_equal(out[..., a], interpolate(u[a], pts, method=method))
+
+    def test_velocity_interpolation_rejects_bad_points(self):
+        with pytest.raises(GridError):
+            interpolate_velocity(np.zeros((2, 8, 8)), np.zeros((4, 3)))
+
     def test_unknown_method_rejected(self):
         with pytest.raises(GridError):
             interpolate(VorticityGrid.zeros(8), [[0.0, 0.0]], method="nearest")
