@@ -2,7 +2,11 @@
 
 Grid convention: ``values[i, j] = f(2πi/N, 2πj/N)`` — axis 0 is the x₁
 direction, axis 1 is x₂, and ``N`` is a power of two.  Spectral work uses
-``numpy.fft`` with integer wavenumbers ``k = fftfreq(N, 1/N)``.
+``numpy.fft`` with integer wavenumbers ``k = fftfreq(N, 1/N)``: complex
+transforms for spectra that are read or multiplied (Biot-Savart, curl,
+mollification, trigonometric interpolation), and the real pair
+``rfft2``/``irfft2`` on the half-spectrum for the zero-padded upsampling
+behind cubic interpolation.
 
 The module provides
 
@@ -513,9 +517,13 @@ def interpolate(field, points, method: str = "spectral", upsample: int = 4):
         ``"spectral"``: exact evaluation of the trigonometric interpolant
             (collocates the grid, reproduces band-limited fields to rounding).
             Cost per point is O(N²) — meant for tests and modest batches.
-        ``"cubic"``: spectral zero-padding to an ``upsample×`` finer grid
+            On a tensor lattice of ``n × n`` points the interpolant is
+            separable, O(n·N² + n²·N) in all, and
+            :meth:`~roughflow.flow.ParticleFlow.lattice` evaluates it so.
+        ``"cubic"``: real-FFT zero-padding to an ``upsample×`` finer grid
             followed by periodic Catmull-Rom — the fast path used inside
-            particle loops (error ~(k/(3·upsample·N))³ per mode k).
+            particle loops (error ~(k/(3·upsample·N))³ per mode k).  With
+            ``upsample > 1`` the grid side must be even.
 
     Returns an array shaped like ``points`` without its last axis.
     """
@@ -543,33 +551,76 @@ def _interp_components(values, pts: np.ndarray, method: str,
     return out.reshape((len(values),) + pts.shape[:-1])
 
 
+def _phase_table(x: np.ndarray, N: int) -> np.ndarray:
+    """``exp(i·x·k)`` of coordinates ``x`` against the N-grid wavenumbers
+    ``k = fftfreq(N, 1/N)``, shape ``(x.size, N)``."""
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    return np.exp(1j * x[:, None] * k[None, :])
+
+
 def _interp_spectral(values, pts: np.ndarray) -> np.ndarray:
     """The trigonometric interpolant of each ``(N, N)`` grid in ``values`` at
     ``pts``, shape ``(C, n_pts)``; the phase tables are built once."""
     N = values[0].shape[0]
-    k = np.fft.fftfreq(N, d=1.0 / N)
-    e1 = np.exp(1j * pts[:, 0, None] * k[None, :])
-    e2 = np.exp(1j * pts[:, 1, None] * k[None, :])
+    e1 = _phase_table(pts[:, 0], N)
+    e2 = _phase_table(pts[:, 1], N)
     return np.stack([np.einsum("pa,ab,pb->p", e1, np.fft.fft2(c), e2).real / (N * N)
                      for c in values])
 
 
+def _interp_spectral_lattice(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The trigonometric interpolant of an ``(N, N)`` grid on the tensor
+    lattice ``x × x``, shape ``(x.size, x.size)``.
+
+    The separable form of :func:`_interp_spectral`: ``(E ŵ Eᵀ).real / N²``
+    with the phase table ``E = exp(i·x·k)``, two matrix products instead of
+    an O(N²) sum per point.  It equals the pointwise evaluation up to
+    rounding, not bit for bit.  The products are two-operand ``einsum``s,
+    not BLAS: a threaded BLAS call leaves its worker spinning for about
+    0.1 CPU-second afterwards, which costs more than the products.
+    """
+    N = values.shape[0]
+    E = _phase_table(x, N)
+    return np.einsum("pb,qb->pq", np.einsum("pa,ab->pb", E, np.fft.fft2(values)),
+                     E).real / (N * N)
+
+
+def _check_upsample_grid(shape) -> None:
+    """Spectral upsampling splits the Nyquist lines of a square grid with an
+    even side; any other shape is a :class:`GridError`."""
+    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2:
+        raise GridError(f"spectral upsampling needs a square grid with an even "
+                        f"side, got shape {tuple(shape)}")
+
+
 def _spectral_upsample(values: np.ndarray, r: int) -> np.ndarray:
     """Zero-padded FFT upsampling with symmetric Nyquist splitting (exact for
-    band-limited input, real output up to rounding)."""
+    band-limited input).
+
+    Works on the real half-spectrum: ``rfft2`` of the ``(N, N)`` input fills
+    an ``(Nu, Nu/2 + 1)`` half-spectrum of the ``Nu = r·N`` grid, the Nyquist
+    row and column are split evenly between wavenumbers ``±N/2`` (the column
+    at ``−N/2`` is implied by Hermitian symmetry), and ``irfft2`` returns the
+    real fine grid.  ``r = 1`` returns a copy of the input.
+
+    Raises:
+        GridError: ``values`` is not square with an even side.
+    """
+    _check_upsample_grid(values.shape)
+    if r == 1:
+        return np.array(values, dtype=float)
     N = values.shape[0]
     Nu = N * r
-    W = np.fft.fft2(values)
     half = N // 2
-    Wf = np.zeros((Nu, Nu), dtype=complex)
-    idx = np.r_[0:half, Nu - half:Nu]
-    Wf[np.ix_(idx, idx)] = W
     ny = Nu - half
+    W = np.fft.rfft2(values)
+    Wf = np.zeros((Nu, Nu // 2 + 1), dtype=complex)
+    Wf[:half, :half + 1] = W[:half]
+    Wf[ny:, :half + 1] = W[half:]
+    Wf[:, half] /= 2.0
     Wf[half, :] = Wf[ny, :] / 2.0
     Wf[ny, :] /= 2.0
-    Wf[:, half] = Wf[:, ny] / 2.0
-    Wf[:, ny] /= 2.0
-    return np.fft.ifft2(Wf).real * r * r
+    return np.fft.irfft2(Wf, s=(Nu, Nu)) * r * r
 
 
 def _interp_cubic(values, pts: np.ndarray, r: int) -> np.ndarray:

@@ -33,18 +33,19 @@ from .fields import (
     TWO_PI,
     VectorField,
     VorticityGrid,
+    _check_upsample_grid,
     _interp_cubic,
+    _interp_spectral_lattice,
     _nearest_image,
     _spectral_upsample,
     biot_savart,
     deposit,
     gamma,
-    interpolate,
     interpolate_velocity,
     mollify,
 )
-from .roughpath import DriverPair, difference_variation_control, \
-    reverse_rough_path, variation_control
+from .roughpath import DriverPair, _control_from_pair_tables, \
+    difference_variation_control, reverse_rough_path
 from .variation import _as_times, _default_localization, _store_indices, \
     _thin_indices, locate_nodes, localized_p_variation
 
@@ -63,7 +64,8 @@ def _wrap(x: np.ndarray) -> np.ndarray:
     out = np.mod(x, TWO_PI)
     # np.mod rounds 2π−ε up to 2π itself for tiny negative inputs; keep the
     # documented half-open fundamental domain [0, 2π)
-    return np.where(out >= TWO_PI, 0.0, out)
+    out[out >= TWO_PI] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +171,8 @@ class GridDrift:
         for s in snaps:
             if s.ndim != 3 or s.shape[0] != 2 or s.shape[1] != s.shape[2]:
                 raise GridError("drift snapshots must have shape (2, N, N)")
+            if interpolation == "cubic" and int(upsample) > 1:
+                _check_upsample_grid(s.shape[1:])
         if mollify_eta is not None:
             snaps = [np.stack([mollify(c, mollify_eta) for c in s]) for s in snaps]
         self.snapshots = snaps
@@ -276,7 +280,7 @@ class ParticleFlow:
         X1, X2 = np.meshgrid(x, x, indexing="ij")
         pos = np.stack([X1.ravel(), X2.ravel()], axis=-1)
         if isinstance(weight_source, VorticityGrid):
-            w = interpolate(weight_source, pos, method="spectral")
+            w = _interp_spectral_lattice(weight_source.values, x).ravel()
         elif callable(weight_source):
             w = np.asarray(weight_source(pos[:, 0], pos[:, 1]), dtype=float)
         else:
@@ -290,7 +294,7 @@ class ParticleFlow:
     def with_positions(self, positions, *, time: float) -> "ParticleFlow":
         out = ParticleFlow.__new__(ParticleFlow)
         out.labels = self.labels
-        out.positions = _wrap(np.array(positions, dtype=float))
+        out.positions = _wrap(np.asarray(positions, dtype=float))
         out.weights = self.weights
         out.direction = self.direction
         out.time = float(time)
@@ -451,6 +455,24 @@ class FlowProblem:
         return {"sup_norm": drift.sup_norm, "log_lipschitz": declared}
 
 
+def _second_level(sigmas, S: np.ndarray, pos: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The step's second-level term ``Σ_{i,j,b} 𝕫^{ij} σ_i^b ∂_b σ_j^a`` at ``pos``.
+
+    ``S`` stacks the fields' values at ``pos`` (shape ``(M,) + pos.shape``).
+    𝕫 is contracted into σ first, ``SA_j = Σ_i 𝕫^{ij} σ_i``; then the term is
+    an explicit sum over ``j`` and ``b`` of ``∂_b σ_j · SA_j^b``, elementwise
+    work with no three-operand contraction.
+    """
+    second = 0.0
+    for j, f in enumerate(sigmas):
+        SA = A[0, j] * S[0]
+        for i in range(1, len(sigmas)):
+            SA = SA + A[i, j] * S[i]
+        G = f.gradient(pos)
+        second = second + G[..., 0] * SA[..., 0, None] + G[..., 1] * SA[..., 1, None]
+    return second
+
+
 def davie_step(positions, s: float, t: float, problem: FlowProblem) -> np.ndarray:
     """One second-order step from ``s`` to ``t`` (consecutive step nodes).
 
@@ -486,8 +508,7 @@ def davie_step(positions, s: float, t: float, problem: FlowProblem) -> np.ndarra
     eps = driver.sign_convention
     S = np.stack([f(pos) for f in sigmas])
     out = out + eps * np.einsum("j,j...->...", Z, S)
-    G = np.stack([f.gradient(pos) for f in sigmas])
-    out = out + np.einsum("i...b,j...ab,ij->...a", S, G, A)
+    out = out + _second_level(sigmas, S, pos, A)
     if not np.isfinite(out).all():
         raise StepSizeError(f"step [{s:g}, {t:g}] produced non-finite positions",
                             interval=(s, t), value=int((~np.isfinite(out)).sum()))
@@ -551,12 +572,12 @@ def _diagnose(problem: FlowProblem, track_wrapped: np.ndarray,
     eps = problem.driver.sign_convention
     S = np.stack([np.stack([f(track_wrapped[i]) for f in sigmas], axis=-1)
                   for i in idx])         # (m, n_track, 2, M)
-    dZ = rp.pair_tables(sub_times)[0]   # zero on and below the diagonal
+    dZ, dA = rp.pair_tables(sub_times)   # zero on and below the diagonal
     lead = eps * np.einsum("i...am,ijm->ij...a", S, dZ)
     rem_norms = np.sqrt(((diff - lead) ** 2).sum(axis=-1)).max(axis=-1)
 
-    loc = _default_localization(variation_control(rp, sub_times), sub_times,
-                                rp.p_exponent, threshold)
+    omega_z = _control_from_pair_tables(sub_times, dZ, dA, rp.p_exponent)
+    loc = _default_localization(omega_z, sub_times, rp.p_exponent, threshold)
     flow_var = localized_p_variation(increments=flow_norms[..., None], p=q,
                                      loc=loc, times=sub_times)
     rem_var = localized_p_variation(increments=rem_norms[..., None], p=q / 2.0,

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoherenceError, GridError, HypothesisError
-from .roughpath import RoughPath, difference_variation_control, variation_control
+from .roughpath import RoughPath, _control_from_pair_tables, _control_times, \
+    difference_variation_control, variation_control
 from .variation import (
     Localization,
     _all_windows_dp,
@@ -274,10 +275,11 @@ def rough_integral(Y: ControlledPath, rough_path: RoughPath | None = None, *,
         return integral
 
     p = rp.p_exponent
-    t = rp.times
+    t = _control_times(rp, None)   # the driver grid, under the diagnostic cap
     m = t.shape[0]
     mask = localization.mask(t) if localization is not None else None
-    omega_z = variation_control(rp).pair_table(t)
+    z, zz = rp.pair_tables(t)
+    omega_z = _control_from_pair_tables(t, z, zz, p).pair_table(t)
     omega_r = _all_windows_dp(_norms_from_increments(Y.remainder_matrix()) ** (p / 2.0), mask)
     omega_d = _all_windows_dp(_norms_from_values(Y.derivative) ** p, mask)
 
@@ -285,7 +287,6 @@ def rough_integral(Y: ControlledPath, rough_path: RoughPath | None = None, *,
     if mask is not None:
         keep = mask[iu, ju] & np.isfinite(omega_r[iu, ju]) & np.isfinite(omega_d[iu, ju])
         iu, ju = iu[keep], ju[keep]
-    z, zz = rp.pair_tables(t)
     germ = (np.einsum("n...j,nj->n...", Y.values[iu], z[iu, ju])
             + np.einsum("n...ji,nij->n...", Y.derivative[iu], zz[iu, ju]))
     defect = values[ju] - values[iu] - germ

@@ -199,6 +199,40 @@ def euler_grids_by_redeposit(flows, resolution, mollify_eta=None):
     return out
 
 
+def spectral_upsample_complex(values, r):
+    """Zero-padded upsampling on the full complex spectrum (``fft2``/``ifft2``),
+    the Nyquist row and column split evenly between wavenumbers ±N/2.
+
+    The split needs ``r >= 2``: at ``r = 1`` both Nyquist lines are the same
+    line, and halving it twice would quarter it, so ``r = 1`` returns the
+    grid itself.
+    """
+    values = np.asarray(values, dtype=float)
+    if r == 1:
+        return values.copy()
+    N = values.shape[0]
+    Nu = N * r
+    W = np.fft.fft2(values)
+    half = N // 2
+    Wf = np.zeros((Nu, Nu), dtype=complex)
+    idx = np.r_[0:half, Nu - half:Nu]
+    Wf[np.ix_(idx, idx)] = W
+    ny = Nu - half
+    Wf[half, :] = Wf[ny, :] / 2.0
+    Wf[ny, :] /= 2.0
+    Wf[:, half] = Wf[:, ny] / 2.0
+    Wf[:, ny] /= 2.0
+    return np.fft.ifft2(Wf).real * r * r
+
+
+def second_level_by_einsum(sigmas, positions, A):
+    """The Davie step's second-level term ``Σ_{i,j,b} 𝕫^{ij} σ_i^b ∂_b σ_j^a``
+    as one three-operand contraction over stacked values and gradients."""
+    S = np.stack([f(positions) for f in sigmas])
+    G = np.stack([f.gradient(positions) for f in sigmas])
+    return np.einsum("i...b,j...ab,ij->...a", S, G, A)
+
+
 def rk4_flow(velocity, positions, t0, t1, n_steps):
     """Classical RK4 particle integrator for ẋ = u(t, x) (no wrapping).
 

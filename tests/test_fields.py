@@ -19,6 +19,7 @@ from roughflow.fields import (
     GradPerpField,
     ShearField,
     VorticityGrid,
+    _spectral_upsample,
     biot_savart,
     curl,
     deposit,
@@ -38,7 +39,7 @@ from roughflow.fields import (
     vorticity_from_modes,
 )
 
-from reference import fd_gradient, grid_l1, grid_w11
+from reference import fd_gradient, grid_l1, grid_w11, spectral_upsample_complex
 
 TWO_PI = 2.0 * math.pi
 
@@ -390,6 +391,21 @@ class TestInterpolate:
     def test_unknown_method_rejected(self):
         with pytest.raises(GridError):
             interpolate(VorticityGrid.zeros(8), [[0.0, 0.0]], method="nearest")
+
+    def test_cubic_rejects_odd_grid(self):
+        with pytest.raises(GridError, match=r"\(5, 5\)"):
+            interpolate(np.zeros((5, 5)), [[0.0, 0.0]], method="cubic")
+
+    @pytest.mark.parametrize("N", [4, 8, 32, 64])
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_upsample_matches_complex_reference(self, N, r):
+        values = np.random.default_rng(10 * N + r).standard_normal((N, N))
+        assert np.abs(np.fft.fft2(values)[N // 2]).max() > 0.1  # Nyquist content
+        fine = _spectral_upsample(values, r)
+        expect = spectral_upsample_complex(values, r)
+        assert fine.shape == (N * r, N * r)
+        assert np.abs(fine - expect).max() <= 1e-14 * np.abs(expect).max()
+        assert np.allclose(fine[::r, ::r], values, rtol=0.0, atol=1e-13)
 
 
 def particle_lattice(refinement, N, offset=0.0):

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from roughflow.errors import GridError, HypothesisError, StepSizeError
 from roughflow.fields import (
     ConstantField,
+    GradPerpField,
     ShearField,
     SumField,
     VorticityGrid,
     biot_savart,
+    interpolate,
     interpolate_velocity,
     mollify,
 )
@@ -26,6 +28,7 @@ from roughflow.flow import (
     ParticleFlow,
     SteadyDrift,
     ZeroDrift,
+    _second_level,
     as_drift,
     davie_step,
     lagrangian_stability_bound,
@@ -40,7 +43,7 @@ from roughflow.flow import (
 )
 from roughflow.roughpath import DriverPair, RoughPath, lift_piecewise_linear
 
-from reference import rk4_flow
+from reference import rk4_flow, second_level_by_einsum
 
 TWO_PI = 2.0 * math.pi
 
@@ -151,6 +154,15 @@ class TestDrifts:
         with pytest.raises(GridError):
             GridDrift([0.0], [np.zeros((3, 8, 8))])
 
+    def test_grid_drift_rejects_odd_grid_at_construction(self):
+        # cubic drifts are upsampled, which splits the Nyquist lines of an
+        # even side; an odd side fails up front, naming its shape
+        with pytest.raises(GridError, match=r"\(5, 5\)"):
+            GridDrift([0.0], [np.zeros((2, 5, 5))])
+        # spectral evaluation does not upsample and keeps odd grids
+        gd = GridDrift([0.0], [np.ones((2, 5, 5))], interpolation="spectral")
+        assert np.allclose(gd.velocity(0.0, np.full((3, 2), 0.7)), 1.0, atol=1e-14)
+
 
 # ---------------------------------------------------------------------------
 # particle ensembles and serialization
@@ -165,6 +177,13 @@ class TestParticles:
         pf = ParticleFlow.lattice(24, grid)
         expect = np.cos(pf.positions[:, 0])
         assert np.abs(pf.weights - expect).max() < 1e-12
+
+    @pytest.mark.parametrize("n_side, N", [(5, 8), (5, 64), (24, 64), (128, 64)])
+    def test_lattice_weights_match_pointwise_spectral(self, n_side, N):
+        grid = VorticityGrid(np.random.default_rng(n_side + N).standard_normal((N, N)))
+        pf = ParticleFlow.lattice(n_side, grid)
+        expect = interpolate(grid, pf.positions, method="spectral")
+        assert np.abs(pf.weights - expect).max() <= 1e-13 * np.abs(expect).max()
 
     def test_weights_are_immutable(self):
         pf = ParticleFlow.lattice(4, 1.0)
@@ -290,6 +309,24 @@ class TestAnalyticCases:
         a = solve_flow(minus).final.positions
         b = solve_flow(plus).final.positions
         assert np.array_equal(a, b)  # second level is sign-blind, so bitwise
+
+    @pytest.mark.parametrize("sigmas", [
+        (GradPerpField(0.4, (1, 2), 0.3),),
+        (SumField(ShearField(0.3, 1, 0), GradPerpField(0.2, (2, -1))),
+         ConstantField([0.3, -0.1])),
+        (GradPerpField(0.3, (1, 1)),
+         SumField(GradPerpField(0.2, (0, 1), 1.1), ConstantField([0.1, 0.2])),
+         ConstantField([0.0, 0.4])),
+    ], ids=["M1", "M2", "M3"])
+    def test_second_level_matches_einsum_reference(self, sigmas):
+        rng = np.random.default_rng(len(sigmas))
+        pos = rng.uniform(0.0, TWO_PI, (300, 2))
+        A = rng.standard_normal((len(sigmas), len(sigmas)))  # not symmetric
+        S = np.stack([f(pos) for f in sigmas])
+        expect = second_level_by_einsum(sigmas, pos, A)
+        got = _second_level(sigmas, S, pos, A)
+        assert got.shape == pos.shape
+        assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), a=st.floats(-0.5, 0.5),
@@ -453,6 +490,36 @@ class TestSolveFlow:
         assert d.remainder_variation < 1e-10
         assert d.flow_variation > 0.01
         assert d.grid_nodes == 33
+
+    def test_diagnostics_build_pair_tables_once(self, monkeypatch):
+        # one pair-table build serves both the lead term and the driver
+        # control, and the control equals a fresh variation_control bit for bit
+        import roughflow.flow
+        from roughflow.roughpath import variation_control
+        built, controls = [], []
+        pair_tables = RoughPath.pair_tables
+        control = roughflow.flow._control_from_pair_tables
+
+        def counted_pair_tables(rp, t):
+            built.append(t)
+            return pair_tables(rp, t)
+
+        def kept_control(t, z, zz, p):
+            controls.append((t, control(t, z, zz, p)))
+            return controls[-1][1]
+
+        monkeypatch.setattr(RoughPath, "pair_tables", counted_pair_tables)
+        monkeypatch.setattr(roughflow.flow, "_control_from_pair_tables", kept_control)
+        rp = brownian_driver(3, 512)
+        prob = FlowProblem(cellular_drift(), DriverPair(shear_sigma(), rp, -1),
+                           ParticleFlow.lattice(4), rp.times)
+        solve_flow(prob, diagnostic_particles=6)
+        assert len(built) == 1 and len(controls) == 1
+        monkeypatch.undo()
+        times, got = controls[0]
+        assert times.size == 257  # a thinned, not the full, step grid
+        expected = variation_control(rp, times)
+        assert np.array_equal(got.pair_table(), expected.pair_table())
 
     def test_diagnostic_grid_is_capped(self):
         rp = brownian_driver(2, 512)

@@ -239,6 +239,33 @@ class TestRoughIntegral:
         if localized:
             assert rep.pairs_checked < 49 * 48 // 2
 
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_report_builds_pair_tables_once(self, monkeypatch, dims):
+        # one pair-table build serves both the driver control and the germs,
+        # and the control equals a fresh variation_control bit for bit
+        import roughflow.sewing
+        from roughflow.roughpath import RoughPath, variation_control
+        built, controls = [], []
+        pair_tables = RoughPath.pair_tables
+        control = roughflow.sewing._control_from_pair_tables
+
+        def counted_pair_tables(rp, t):
+            built.append(t)
+            return pair_tables(rp, t)
+
+        def kept_control(t, z, zz, p):
+            controls.append(control(t, z, zz, p))
+            return controls[-1]
+
+        monkeypatch.setattr(RoughPath, "pair_tables", counted_pair_tables)
+        monkeypatch.setattr(roughflow.sewing, "_control_from_pair_tables", kept_control)
+        _, rp = brownian_lift(20 + dims, n=40, dims=dims)
+        rough_integral(sine_integrand(rp), report=True)
+        assert len(built) == 1 and len(controls) == 1
+        monkeypatch.undo()
+        expected = variation_control(rp, rp.times)
+        assert np.array_equal(controls[0].pair_table(), expected.pair_table())
+
     def test_driver_grid_mismatch(self):
         _, rp1 = brownian_lift(9, n=32)
         _, rp2 = brownian_lift(9, n=64)
