@@ -619,6 +619,16 @@ class WeakRemainder:
         return self.variation_power ** (3.0 / self.p_exponent)
 
 
+def _fit_slope(x, y) -> float:
+    """Least-squares slope of ``log y`` against ``log x``; NaN with fewer than
+    two points or with any entry that is not positive and finite."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if len(x) < 2 or not all(np.all(np.isfinite(v) & (v > 0)) for v in (x, y)):
+        return float("nan")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
 def weak_remainder(trajectory: EulerTrajectory, *,
                    family: FourierTestFunctions | None = None,
                    localization: Localization | None = None,
@@ -730,11 +740,7 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     mask = loc.mask(times)
     sel = mask & (remainder_norms > 1e-13 * max(remainder_norms.max(), 1e-300)) \
         & (bound > 0) & np.triu(np.ones((n, n), dtype=bool), k=1)
-    if sel.sum() >= 2:
-        slope = float(np.polyfit(np.log(bound[sel]),
-                                 np.log(remainder_norms[sel]), 1)[0])
-    else:
-        slope = float("nan")
+    slope = _fit_slope(bound[sel], remainder_norms[sel])
 
     # cocycle self-test on a thinned triple set (exact identity, see class doc)
     tri = _thin_indices(n, 12)

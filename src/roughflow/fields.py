@@ -376,10 +376,15 @@ def _nearest_image(d):
     return (d + math.pi) % TWO_PI - math.pi
 
 
+def _torus_distances(x, y) -> np.ndarray:
+    """Nearest-image Euclidean norms of ``x − y`` over the last axis."""
+    d = _nearest_image(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+    return np.sqrt((d * d).sum(axis=-1))
+
+
 def torus_distance(x, y) -> float:
     """Nearest-image Euclidean distance on [0, 2π)²."""
-    d = _nearest_image(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-    return float(np.sqrt((d * d).sum(axis=-1)))
+    return float(_torus_distances(x, y))
 
 
 #: Frozen empirical constant for the Biot-Savart kernel's log-Lipschitz bound.
@@ -585,14 +590,6 @@ def _interp_spectral_lattice(values: np.ndarray, x: np.ndarray) -> np.ndarray:
                      E).real / (N * N)
 
 
-def _check_upsample_grid(shape) -> None:
-    """Spectral upsampling splits the Nyquist lines of a square grid with an
-    even side; any other shape is a :class:`GridError`."""
-    if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2:
-        raise GridError(f"spectral upsampling needs a square grid with an even "
-                        f"side, got shape {tuple(shape)}")
-
-
 def _spectral_upsample(values: np.ndarray, r: int) -> np.ndarray:
     """Zero-padded FFT upsampling with symmetric Nyquist splitting (exact for
     band-limited input).
@@ -606,7 +603,9 @@ def _spectral_upsample(values: np.ndarray, r: int) -> np.ndarray:
     Raises:
         GridError: ``values`` is not square with an even side.
     """
-    _check_upsample_grid(values.shape)
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] % 2:
+        raise GridError(f"spectral upsampling needs a square grid with an even "
+                        f"side, got shape {values.shape}")
     if r == 1:
         return np.array(values, dtype=float)
     N = values.shape[0]

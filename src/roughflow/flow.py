@@ -33,11 +33,10 @@ from .fields import (
     TWO_PI,
     VectorField,
     VorticityGrid,
-    _check_upsample_grid,
-    _interp_cubic,
     _interp_spectral_lattice,
     _nearest_image,
     _spectral_upsample,
+    _torus_distances,
     biot_savart,
     deposit,
     gamma,
@@ -76,6 +75,16 @@ def _wrap(x: np.ndarray) -> np.ndarray:
 # mass is at most f(1−f)/2 ≤ 1/8, so Σ|w| ≤ 5/4 per axis and ≤ 25/16 for the
 # tensor product — interpolated drifts may exceed their grid max by that much.
 _INTERP_OVERSHOOT = 25.0 / 16.0
+
+
+def _log_lipschitz_ratio(u_x, u_y, d) -> float:
+    """Sampled max of ``|u(x) − u(y)| / γ(d)`` over the pairs with
+    ``d > 1e-9``; 0.0 when no pair is that far apart."""
+    keep = d > 1e-9
+    if not keep.any():
+        return 0.0
+    du = np.sqrt(((u_x - u_y) ** 2).sum(axis=-1))
+    return float((du[keep] / gamma(d[keep])).max())
 
 
 class ZeroDrift:
@@ -123,13 +132,12 @@ class CallableDrift:
         if sup_norm is None or log_lipschitz is None:
             rng = np.random.default_rng(seed)
             pts = rng.uniform(0.0, TWO_PI, size=(512, 2))
+            d = _torus_distances(pts[:256], pts[256:])
             sup, lip = 0.0, 0.0
             for t in np.linspace(time_span[0], time_span[1], 5):
                 u = np.asarray(fn(t, pts), dtype=float)
                 sup = max(sup, float(np.abs(u).max()))
-                d = np.sqrt((_nearest_image(pts[:256] - pts[256:]) ** 2).sum(axis=1))
-                du = np.sqrt(((u[:256] - u[256:]) ** 2).sum(axis=1))
-                lip = max(lip, float((du / gamma(np.maximum(d, 1e-12))).max()))
+                lip = max(lip, _log_lipschitz_ratio(u[:256], u[256:], d))
             # sampled values are lower bounds; pad them so contract checks on
             # fresh samples do not trip on the sampling gap
             if sup_norm is None:
@@ -150,10 +158,12 @@ class GridDrift:
     or more, evaluation outside ``[t_0, t_last]`` is an error.
 
     Spatial evaluation is periodic cubic interpolation on an FFT-upsampled
-    grid (cached per snapshot) or exact trigonometric interpolation with
-    ``interpolation="spectral"``.  An optional ``mollify_eta`` convolves every
-    snapshot with the compact bump on construction — the mollified-drift
-    variant used by the existence-proof convergence experiment.
+    grid (upsampled once at construction) or exact trigonometric
+    interpolation with ``interpolation="spectral"``; any other
+    ``interpolation`` is a :class:`GridError`.  An optional ``mollify_eta``
+    convolves every snapshot with the compact bump on construction — the
+    mollified-drift variant used by the existence-proof convergence
+    experiment.
 
     ``sup_norm`` reports the grid max; between nodes the interpolant may
     exceed it by up to the documented overshoot factor, which contract checks
@@ -164,6 +174,9 @@ class GridDrift:
 
     def __init__(self, times, snapshots, *, interpolation: str = "cubic",
                  upsample: int = 4, mollify_eta: float | None = None):
+        if interpolation not in ("cubic", "spectral"):
+            raise GridError(f"unknown drift interpolation {interpolation!r}; "
+                            f"use 'cubic' or 'spectral'")
         self.times = _as_times(times)
         snaps = [np.asarray(s, dtype=float) for s in snapshots]
         if len(snaps) != self.times.size:
@@ -171,8 +184,6 @@ class GridDrift:
         for s in snaps:
             if s.ndim != 3 or s.shape[0] != 2 or s.shape[1] != s.shape[2]:
                 raise GridError("drift snapshots must have shape (2, N, N)")
-            if interpolation == "cubic" and int(upsample) > 1:
-                _check_upsample_grid(s.shape[1:])
         if mollify_eta is not None:
             snaps = [np.stack([mollify(c, mollify_eta) for c in s]) for s in snaps]
         self.snapshots = snaps
@@ -181,15 +192,11 @@ class GridDrift:
         self.mollify_eta = mollify_eta
         self.sup_norm = max(float(np.abs(s).max()) for s in snaps)
         self.log_lipschitz: float | None = None
-        self._fine: dict[int, np.ndarray] = {}
-
-    def _fine_snapshot(self, k: int) -> np.ndarray:
-        if k not in self._fine:
-            snap = self.snapshots[k]
-            if self.upsample > 1:
-                snap = np.stack([_spectral_upsample(c, self.upsample) for c in snap])
-            self._fine[k] = snap
-        return self._fine[k]
+        if interpolation == "cubic" and self.upsample > 1:
+            self._grids = [np.stack([_spectral_upsample(c, self.upsample) for c in s])
+                           for s in snaps]
+        else:
+            self._grids = snaps
 
     def _index(self, t: float) -> int:
         if self.times.size == 1:
@@ -204,12 +211,8 @@ class GridDrift:
 
     def velocity(self, t, positions):
         k = self._index(float(t))
-        pts = np.asarray(positions, dtype=float)
-        if self.interpolation == "spectral":
-            return interpolate_velocity(self.snapshots[k], pts, method="spectral")
-        fine = self._fine_snapshot(k)
-        flat = pts.reshape(-1, 2) % TWO_PI
-        return np.stack(_interp_cubic(fine, flat, 1), axis=-1).reshape(pts.shape)
+        return interpolate_velocity(self._grids[k], positions, self.interpolation,
+                                    upsample=1)
 
     def measure_log_lipschitz(self, n_pairs: int = 512, seed: int = 0) -> float:
         """Sampled sup of ``|u(t,x)−u(t,y)| / γ(d(x,y))``; cached on the instance."""
@@ -221,11 +224,8 @@ class GridDrift:
             y = x + rng.normal(scale=0.05, size=x.shape)
             y[n_pairs // 2:] = rng.uniform(0.0, TWO_PI, size=(n_pairs - n_pairs // 2, 2))
             t = self.times[k]
-            du = self.velocity(t, x) - self.velocity(t, _wrap(y))
-            du = np.sqrt((du ** 2).sum(axis=1))
-            d = np.sqrt((_nearest_image(x - y) ** 2).sum(axis=1))
-            keep = d > 1e-9
-            worst = max(worst, float((du[keep] / gamma(d[keep])).max()))
+            worst = max(worst, _log_lipschitz_ratio(
+                self.velocity(t, x), self.velocity(t, _wrap(y)), _torus_distances(x, y)))
         self.log_lipschitz = worst
         return worst
 
@@ -306,7 +306,7 @@ class ParticleFlow:
     def displacement_from(self, reference=None) -> np.ndarray:
         """Torus distance of each particle from ``reference`` (default: labels)."""
         ref = self.labels if reference is None else np.asarray(reference, dtype=float)
-        return np.sqrt((_nearest_image(self.positions - ref) ** 2).sum(axis=1))
+        return _torus_distances(self.positions, ref)
 
     def __repr__(self):
         return (f"ParticleFlow(n={self.n_particles}, t={self.time:g}, "
@@ -405,10 +405,11 @@ class FlowProblem:
             raise GridError("step grid leaves the driver's time span")
         inside = rp.times[(rp.times >= self.step_times[0] - tol)
                           & (rp.times <= self.step_times[-1] + tol)]
-        matched = np.abs(inside[:, None] - self.step_times[None, :]).min(axis=1)
-        if np.any(matched > tol):
+        try:
+            locate_nodes(self.step_times, inside)
+        except GridError:
             raise GridError("step grid must refine the driver grid "
-                            "(every rough-path node is a step node)")
+                            "(every rough-path node is a step node)") from None
         if self.q_exponent is None:
             self.q_exponent = max(rp.p_exponent, min(2.9, rp.p_exponent + 0.25))
 
@@ -435,8 +436,7 @@ class FlowProblem:
         rng = np.random.default_rng(seed)
         x = rng.uniform(0.0, TWO_PI, size=(n_pairs, 2))
         y = _wrap(x + rng.normal(scale=0.1, size=x.shape))
-        d = np.sqrt((_nearest_image(x - y) ** 2).sum(axis=1))
-        keep = d > 1e-9
+        d = _torus_distances(x, y)
         for t in np.linspace(self.step_times[0], self.step_times[-1], 3):
             u = drift.velocity(t, x)
             if not np.all(np.isfinite(u)):
@@ -446,8 +446,7 @@ class FlowProblem:
                 raise HypothesisError("drift exceeds its declared sup norm")
             if measured_now:
                 continue  # the measurement is the declaration; nothing to verify
-            du = np.sqrt(((u - drift.velocity(t, y)) ** 2).sum(axis=1))
-            ratio = float((du[keep] / gamma(d[keep])).max()) if keep.any() else 0.0
+            ratio = _log_lipschitz_ratio(u, drift.velocity(t, y), d)
             if ratio > declared * tol + 1e-12:
                 raise HypothesisError(
                     f"drift violates its log-Lipschitz declaration: sampled "
@@ -743,6 +742,11 @@ def solve_nonlocal_flow(w0: VorticityGrid, driver: DriverPair, step_times, *,
     ``grids`` keeps the ``(deposit, velocity)`` pair of every stored node (the
     last node's is computed only when stored).  ``drift_callback(t,
     velocity_grid)``, when given, observes every frozen drift field.
+
+    The march never calls :meth:`FlowProblem.check`: its problem starts from a
+    zero drift, so the check would verify nothing, and the contract of the
+    per-step Biot-Savart drift is what
+    :func:`~roughflow.fields.kernel_log_lipschitz_check` measures.
     """
     N = w0.N if resolution is None else int(resolution)
     n_side = 2 * N if particles_per_side is None else int(particles_per_side)
@@ -849,7 +853,7 @@ def lagrangian_stability_bound(times, positions1, positions2, driver1, driver2,
     b = np.asarray(positions2, dtype=float)
     if a.shape != b.shape or a.shape[0] != t.size:
         raise GridError("trajectories must share one time grid and particle set")
-    d = np.sqrt((_nearest_image(a - b) ** 2).sum(axis=-1)).max(axis=-1)
+    d = _torus_distances(a, b).max(axis=-1)
     rp1 = getattr(driver1, "rough_path", driver1)
     rp2 = getattr(driver2, "rough_path", driver2)
     q = max(rp1.p_exponent, rp2.p_exponent) if q is None else float(q)

@@ -29,6 +29,7 @@ import numpy as np
 from .errors import GridError, HypothesisError
 from .euler import (
     FourierTestFunctions,
+    _fit_slope,
     _jsonable,
     solve_rough_euler,
     weak_remainder,
@@ -39,7 +40,7 @@ from .fields import (
     GradPerpField,
     SumField,
     VorticityGrid,
-    _nearest_image,
+    _torus_distances,
     biot_savart,
     field_from_spec,
     load_field_csv,
@@ -236,20 +237,11 @@ def proxy_distance(values1, values2, family: FourierTestFunctions) -> float:
 
 def _particle_sup(positions1, positions2) -> float:
     """Sup over shared labels of the nearest-image particle distance."""
-    delta = _nearest_image(np.asarray(positions1) - np.asarray(positions2))
-    return float(np.sqrt((delta ** 2).sum(axis=-1)).max())
+    return float(_torus_distances(positions1, positions2).max())
 
 
 def _count_inversions(column) -> int:
     return sum(1 for a, b in zip(column, column[1:]) if b > a)
-
-
-def _fit_slope(x, y) -> float:
-    x = np.log(np.asarray(x, dtype=float))
-    y = np.log(np.asarray(y, dtype=float))
-    if len(x) < 2 or not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        return float("nan")
-    return float(np.polyfit(x, y, 1)[0])
 
 
 def _save_mesh_field(out_dir, mesh, grid) -> None:

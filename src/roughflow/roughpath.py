@@ -323,6 +323,10 @@ def sample_fbm(H: float, n: int, T: float = 1.0, *, dims: int = 1,
     Returns:
         samples of shape ``(n+1, dims)`` with ``B_0 = 0`` and
         ``Var(B_T) = T^{2H}`` per component.
+
+    Raises:
+        HypothesisError: ``H`` outside ``(1/3, 1/2]``, or an embedding
+            eigenvalue below ``−1e-8·λ_max`` (which the above rules out).
     """
     if not (1.0 / 3.0 < H <= 0.5):
         raise HypothesisError(f"sample_fbm requires H in (1/3, 1/2], got {H}")
@@ -336,7 +340,10 @@ def sample_fbm(H: float, n: int, T: float = 1.0, *, dims: int = 1,
     row = np.concatenate([cov, cov[-2:0:-1]])  # circulant embedding, size 2n
     lam = np.fft.fft(row).real
     if lam.min() < -1e-8 * max(lam.max(), 1.0):
-        return _fbm_cholesky(cov, n, dt, H, dims, rng)
+        raise HypothesisError(
+            f"circulant embedding of fractional Gaussian noise is not "
+            f"nonnegative-definite for H = {H}, n = {n} "
+            f"(min eigenvalue {lam.min():.3g})")
     lam = np.clip(lam, 0.0, None)
 
     m = 2 * n
@@ -351,21 +358,6 @@ def sample_fbm(H: float, n: int, T: float = 1.0, *, dims: int = 1,
         W[1:n] = np.sqrt(lam[1:n] / 2.0) * (u + 1j * v)
         W[n + 1:] = np.conj(W[1:n][::-1])
         fgn = np.fft.ifft(W).real[:n] * math.sqrt(m)
-        out[1:, d] = np.cumsum(fgn) * dt ** H
-    return out
-
-
-def _fbm_cholesky(cov: np.ndarray, n: int, dt: float, H: float, dims: int,
-                  rng) -> np.ndarray:
-    """Dense fallback for (theoretically impossible here) embedding failures."""
-    if n > 4096:
-        raise HypothesisError("circulant embedding failed and n is too large "
-                              "for the dense Cholesky fallback")
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    chol = np.linalg.cholesky(cov[idx] + 1e-14 * np.eye(n))
-    out = np.zeros((n + 1, dims))
-    for d in range(dims):
-        fgn = chol @ rng.standard_normal(n)
         out[1:, d] = np.cumsum(fgn) * dt ** H
     return out
 

@@ -13,6 +13,7 @@ from roughflow.euler import (
     EulerState,
     EulerTrajectory,
     FourierTestFunctions,
+    _fit_slope,
     _particle_pairings,
     load_run,
     save_run,
@@ -289,6 +290,11 @@ class TestRoughEulerSolver:
         forward = DriverPair((ConstantField((0.0, 0.0)),), rp, sign_convention=1)
         with pytest.raises(HypothesisError):
             solve_rough_euler(shear_mode(16), forward, np.linspace(0.0, 1.0, 5))
+
+    def test_rejects_unknown_interpolation(self):
+        with pytest.raises(GridError, match="'linear'"):
+            solve_rough_euler(shear_mode(16), zero_driver(), np.linspace(0.0, 1.0, 5),
+                              interpolation="linear")
 
     def test_store_times_subset(self):
         run = solve_rough_euler(shear_mode(16), zero_driver(),
@@ -599,6 +605,14 @@ def test_pairing_defect_oracle_is_third_order(c, z_s, z_t):
 # ---------------------------------------------------------------------------
 # solution-variation diagnostic
 # ---------------------------------------------------------------------------
+
+
+def test_fit_slope_is_nan_without_a_warning_on_nonpositive_entries():
+    # a zero would warn inside np.log; warnings are errors under pytest here
+    assert math.isnan(_fit_slope([0.5, 0.25, 0.125], [1e-3, 0.0, 1e-4]))
+    assert math.isnan(_fit_slope([0.5, -0.25], [1e-3, 1e-4]))
+    assert math.isnan(_fit_slope([0.5], [1e-3]))
+    assert _fit_slope([1.0, 2.0, 4.0], [3.0, 12.0, 48.0]) == pytest.approx(2.0)
 
 
 class TestSolutionVariation:

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from roughflow.flow import (
     ParticleFlow,
     SteadyDrift,
     ZeroDrift,
+    _log_lipschitz_ratio,
     _second_level,
     as_drift,
     davie_step,
@@ -162,6 +164,16 @@ class TestDrifts:
         # spectral evaluation does not upsample and keeps odd grids
         gd = GridDrift([0.0], [np.ones((2, 5, 5))], interpolation="spectral")
         assert np.allclose(gd.velocity(0.0, np.full((3, 2), 0.7)), 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["Spectral", "linear"])
+    def test_grid_drift_rejects_unknown_interpolation(self, name):
+        with pytest.raises(GridError, match=repr(name)):
+            GridDrift([0.0], [np.zeros((2, 8, 8))], interpolation=name)
+
+    def test_log_lipschitz_ratio_is_zero_without_separated_pairs(self):
+        u = np.random.default_rng(1).standard_normal((4, 2))
+        assert _log_lipschitz_ratio(u, -u, np.full(4, 1e-9)) == 0.0
+        assert _log_lipschitz_ratio(u[:0], u[:0], np.zeros(0)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +364,18 @@ class TestGuards:
         with pytest.raises(GridError, match="refine"):
             FlowProblem(None, DriverPair(shear_sigma(), rp, 1),
                         ParticleFlow.lattice(4), np.linspace(0, 1, 10))
+
+    def test_refinement_check_memory_is_linear_in_steps(self):
+        rp = brownian_driver(0, 4096)
+        driver = DriverPair(shear_sigma(), rp, 1)
+        initial = ParticleFlow.lattice(4)
+        tracemalloc.start()
+        try:
+            FlowProblem(None, driver, initial, rp.times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, peak
 
     def test_step_grid_must_stay_in_span(self):
         rp = brownian_driver(0, 8)

@@ -216,6 +216,22 @@ def test_fbm_deterministic_and_validated():
         sample_fbm(0.7, 16)
 
 
+@pytest.mark.parametrize("H", [0.3334, 0.35, 0.4, 0.45, 0.5])
+def test_fbm_circulant_embedding_is_nonnegative_definite(H):
+    # the bound sample_fbm relies on: no eigenvalue below −1e-8·λ_max
+    for n in [*range(1, 130), 255, 256, 1000, 4096, 65536]:
+        k = np.arange(n + 1, dtype=float)
+        cov = 0.5 * ((k + 1) ** (2 * H) - 2 * k ** (2 * H) + np.abs(k - 1) ** (2 * H))
+        lam = np.fft.fft(np.concatenate([cov, cov[-2:0:-1]])).real
+        assert lam.min() >= -1e-8 * max(lam.max(), 1.0), (H, n, lam.min())
+
+
+def test_fbm_failed_embedding_names_h_and_n(monkeypatch):
+    monkeypatch.setattr(np.fft, "fft", lambda row: -np.ones_like(row, dtype=complex))
+    with pytest.raises(HypothesisError, match=r"H = 0\.4, n = 16"):
+        sample_fbm(0.4, 16)
+
+
 # ---------------------------------------------------------------------------
 # variation controls
 # ---------------------------------------------------------------------------

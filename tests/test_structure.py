@@ -28,6 +28,8 @@ def definitions(name):
 
 
 @pytest.mark.parametrize("name", ["TWO_PI", "_nearest_image", "_jsonable",
-                                  "_partition_dp", "_admissible_mask"])
+                                  "_partition_dp", "_admissible_mask",
+                                  "_torus_distances", "_log_lipschitz_ratio",
+                                  "_fit_slope"])
 def test_helper_is_defined_once(name):
     assert len(definitions(name)) == 1, definitions(name)
