@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, HypothesisError, QuadratureError, StepSizeError
-from .fields import (TWO_PI, VorticityGrid, interpolate, interpolate_velocity,
+from .fields import (TWO_PI, VorticityGrid, interpolate_velocity,
                      load_field_binary, load_field_csv, nodes_1d,
                      save_field_binary, save_field_csv, wavenumbers)
 from .flow import (ParticleFlow, load_particles_binary, load_particles_csv,
@@ -127,21 +127,17 @@ class EulerTrajectory:
     def __iter__(self):
         return iter(self.states)
 
-    def vorticity_values(self) -> np.ndarray:
-        """Stacked ``(n_snapshots, N, N)`` array of deposited fields."""
-        return np.stack([s.vorticity.values for s in self.states])
 
-    def velocity_values(self) -> np.ndarray:
-        return np.stack([s.velocity for s in self.states])
+# allowed relative overshoot of deposited sup norms over the particle sup
+# (cloud-in-cell clumping allowance)
+_DEPOSITION_TOL = 0.25
 
 
 def solve_rough_euler(w0: VorticityGrid, driver: DriverPair, step_times, *,
-                      resolution: int | None = None,
                       particles_per_side: int | None = None,
                       interpolation: str = "cubic",
                       mollify_eta: float | None = None,
-                      store_times=None, q_exponent: float | None = None,
-                      deposition_tol: float = 0.25) -> EulerTrajectory:
+                      store_times=None) -> EulerTrajectory:
     """Advance bounded vorticity along the rough characteristics.
 
     Per step: deposit particle weights → subtract the (transport-invariant)
@@ -158,12 +154,10 @@ def solve_rough_euler(w0: VorticityGrid, driver: DriverPair, step_times, *,
         step_times: particle step grid; must refine the driver's nodes.
         store_times: ``None`` (endpoints), ``"steps"`` (every step node, what
             the weak-formulation diagnostics want), or an array of step nodes.
-        deposition_tol: allowed relative overshoot of deposited sup norms
-            over the particle sup (cloud-in-cell clumping allowance).
 
     Raises:
         HypothesisError: wrong sign convention, mean drift beyond 1e-8, or
-            sup-norm overshoot beyond ``deposition_tol``.
+            a deposited sup norm more than 25% above the particle sup.
     """
     if driver.sign_convention != -1:
         raise HypothesisError(
@@ -171,8 +165,8 @@ def solve_rough_euler(w0: VorticityGrid, driver: DriverPair, step_times, *,
             "build the driver with sign_convention=-1")
     traj = solve_nonlocal_flow(
         w0, driver, step_times, particles_per_side=particles_per_side,
-        resolution=resolution, interpolation=interpolation, mollify_eta=mollify_eta,
-        store_times=store_times, q_exponent=q_exponent)
+        interpolation=interpolation, mollify_eta=mollify_eta,
+        store_times=store_times)
 
     initial_sup = float(np.abs(traj.flows[0].weights).max())
     initial_mean = float(traj.flows[0].weights.mean())
@@ -186,10 +180,10 @@ def solve_rough_euler(w0: VorticityGrid, driver: DriverPair, step_times, *,
     if drift > 1e-8:
         raise HypothesisError(
             f"deposited mean drifted by {drift:.3e} (tolerance 1e-8)")
-    if excess > deposition_tol:
+    if excess > _DEPOSITION_TOL:
         raise HypothesisError(
             f"deposited sup norm overshoots the particle sup by "
-            f"{excess:.1%} (allowance {deposition_tol:.1%})")
+            f"{excess:.1%} (allowance {_DEPOSITION_TOL:.1%})")
     return EulerTrajectory(states=states, driver=driver,
                            step_times=np.asarray(step_times, dtype=float),
                            initial_sup=initial_sup, initial_mean=initial_mean,
@@ -214,19 +208,8 @@ class ViscousTrajectory:
         return self.grids[-1]
 
 
-def _path_nodes(path):
-    if isinstance(path, DriverPair):
-        path = path.rough_path
-    if isinstance(path, RoughPath):
-        return path.times, path.values
-    times, values = path
-    return np.asarray(times, dtype=float), np.asarray(values, dtype=float)
-
-
-def solve_viscous_reference(w0: VorticityGrid, sigmas, path, nu: float, *,
+def solve_viscous_reference(w0: VorticityGrid, sigmas, path: RoughPath, nu: float, *,
                             dt: float, store_times=None,
-                            resolution: int | None = None,
-                            dealias: bool = True,
                             max_principle_tol: float = 0.05) -> ViscousTrajectory:
     """Pseudo-spectral solve of ``∂_t w + (u − σ_j Ż^j)·∇w = ν Δw``.
 
@@ -241,9 +224,8 @@ def solve_viscous_reference(w0: VorticityGrid, sigmas, path, nu: float, *,
     the mean-free part is evolved and the constant re-added on output.
 
     Args:
-        path: a :class:`RoughPath`, a ``(times, values)`` pair, or a
-            :class:`DriverPair` (its path is used; pass its fields as
-            ``sigmas``).
+        path: the driver; only its first level is read, as the
+            piecewise-linear interpolant of its nodes.
         store_times: ``None`` (endpoints), ``"steps"``, or an array that must
             hit path nodes / step boundaries.
 
@@ -255,29 +237,19 @@ def solve_viscous_reference(w0: VorticityGrid, sigmas, path, nu: float, *,
     """
     if nu <= 0:
         raise HypothesisError(f"viscosity must be positive, got nu = {nu}")
-    tz, vz = _path_nodes(path)
-    if vz.ndim == 1:
-        vz = vz[:, None]
+    tz, vz = path.times, path.values
     sigmas = tuple(sigmas)
     if len(sigmas) != vz.shape[1]:
         raise HypothesisError(f"{len(sigmas)} coefficient fields for a "
                               f"{vz.shape[1]}-component driver")
-    if resolution is not None and int(resolution) != w0.N:
-        N = int(resolution)
-        x = nodes_1d(N)
-        pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1).reshape(-1, 2)
-        w0 = VorticityGrid(interpolate(w0, pts, method="spectral").reshape(N, N))
     N = w0.N
     h_grid = TWO_PI / N
     k1, k2 = wavenumbers(N)
     ksq = k1 ** 2 + k2 ** 2
     inv_ksq = np.zeros_like(ksq)
     np.divide(1.0, ksq, out=inv_ksq, where=ksq > 0)
-    if dealias:
-        cut = N // 3
-        mask = (np.abs(k1) <= cut) & (np.abs(k2) <= cut)
-    else:
-        mask = np.ones_like(ksq, dtype=bool)
+    cut = N // 3
+    mask = (np.abs(k1) <= cut) & (np.abs(k2) <= cut)
 
     x = nodes_1d(N)
     pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
@@ -629,12 +601,13 @@ def _fit_slope(x, y) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
+# the ledger's snapshot subgrid holds at most this many stored snapshots
+_LEDGER_GRID_CAP = 129
+
+
 def weak_remainder(trajectory: EulerTrajectory, *,
-                   family: FourierTestFunctions | None = None,
-                   localization: Localization | None = None,
                    threshold: float | None = None,
                    quadrature_tol: float = 0.05,
-                   grid_cap: int = 129,
                    interpolation: str = "cubic") -> WeakRemainder:
     """Expand solution increments against the dual family; isolate the remainder.
 
@@ -649,6 +622,10 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     contracted into rows that meet those two tables in two matrix products,
     and every pairing (``ψ``, ``u·∇ψ``, ``σ_j·∇ψ``, ``σ_i·∇(σ_j·∇ψ)``) is a
     k-factor combination of the results.
+
+    The tables use the default :class:`FourierTestFunctions` family on at
+    most 129 evenly strided snapshots, localized by ``ω_Z + |t−s|^p`` at
+    ``threshold`` (default: four times the largest step control).
 
     Needs densely stored snapshots (``store_times="steps"``): the drift term
     ``μ_{s,t}(ψ) = ∫ₛᵗ ∫ w u·∇ψ dx dr`` is a composite trapezoid over stored
@@ -666,12 +643,11 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     rp = trajectory.driver.rough_path
     p = rp.p_exponent
     sigmas = trajectory.driver.sigma_fields
-    idx = _thin_indices(len(trajectory), grid_cap)
+    idx = _thin_indices(len(trajectory), _LEDGER_GRID_CAP)
     times = trajectory.times[idx]
     n = times.size
     states = [trajectory[int(k)] for k in idx]
-    N = states[0].vorticity.N
-    fam = FourierTestFunctions(N) if family is None else family
+    fam = FourierTestFunctions(states[0].vorticity.N)
     F = fam.size
 
     # particle pairings of every snapshot with the family and its transports
@@ -719,8 +695,7 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     remainder_norms = np.triu(remainder_norms)
 
     omega_z = variation_control(rp, times)
-    loc = localization if localization is not None else _default_localization(
-        omega_z, times, p, threshold)
+    loc = _default_localization(omega_z, times, p, threshold)
     var_power = localized_p_variation(increments=remainder_norms, p=p / 3.0,
                                       loc=loc, times=times)
 
@@ -786,29 +761,25 @@ class SolutionVariation:
 
 
 def solution_variation_diagnostic(trajectory: EulerTrajectory, *,
-                                  family: FourierTestFunctions | None = None,
-                                  localization: Localization | None = None,
-                                  threshold: float | None = None,
-                                  remainder: WeakRemainder | None = None,
-                                  grid_cap: int = 129) -> SolutionVariation:
+                                  remainder: WeakRemainder | None = None
+                                  ) -> SolutionVariation:
     """p-variation of the solution in the first-order dual proxy.
 
-    Reuses the remainder ledger (or computes it) for the ω_♮ part of the
-    control; purely diagnostic — never raises on a large constant.
+    Reuses the remainder ledger (or computes it with default settings) for
+    the ω_♮ part of the control, and its family, snapshot subgrid and
+    localization; purely diagnostic — never raises on a large constant.
     """
     if remainder is None:
-        remainder = weak_remainder(trajectory, family=family,
-                                   localization=localization,
-                                   threshold=threshold, grid_cap=grid_cap)
+        remainder = weak_remainder(trajectory)
     fam = remainder.test_functions
     times = remainder.times
     n = times.size
     rp = trajectory.driver.rough_path
     p = rp.p_exponent
-    idx = _thin_indices(len(trajectory), grid_cap)
+    idx = _thin_indices(len(trajectory), _LEDGER_GRID_CAP)
     if idx.size != n or not np.array_equal(trajectory.times[idx], times):
         raise GridError("the remainder ledger was computed on a different "
-                        "snapshot subgrid; pass matching grid_cap")
+                        "snapshot subgrid (another trajectory)")
     P = remainder.pairings
     dP = P[None, :, :] - P[:, None, :]
     D = np.triu(np.abs(dP / fam.w1_norms).max(axis=-1))
@@ -859,15 +830,13 @@ class RunArchive:
 
 
 def save_run(trajectory: EulerTrajectory, root, name: str = "run", *,
-             binary: bool = False, config: dict | None = None,
-             extra_diagnostics: dict | None = None) -> pathlib.Path:
+             binary: bool = False, config: dict | None = None) -> pathlib.Path:
     """Persist a trajectory as ``root/name/``: meta, snapshots, diagnostics.
 
     Layout: ``meta.json`` (grid/driver summary plus the caller's ``config``
     echoed verbatim), one ``fields_t####`` and ``particles_t####`` file per
     stored snapshot (CSV by default, binary twins with ``binary=True``), and
-    ``diagnostics.json`` (conservation numbers merged with
-    ``extra_diagnostics``).
+    ``diagnostics.json`` (the conservation numbers).
     """
     out = pathlib.Path(root) / name
     out.mkdir(parents=True, exist_ok=True)
@@ -901,7 +870,6 @@ def save_run(trajectory: EulerTrajectory, root, name: str = "run", *,
         "sup_excess": trajectory.sup_excess,
         "snapshots": len(trajectory),
     }
-    diagnostics.update(extra_diagnostics or {})
     with open(out / "diagnostics.json", "w") as fh:
         json.dump(_jsonable(diagnostics), fh, indent=2)
     return out

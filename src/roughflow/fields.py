@@ -288,9 +288,6 @@ class VorticityGrid:
             raise GridError("grids of different resolutions")
         return VorticityGrid(self.values + other.values)
 
-    def interpolate(self, points, method: str = "spectral", upsample: int = 4):
-        return interpolate(self, points, method=method, upsample=upsample)
-
     def __repr__(self):
         return f"VorticityGrid(N={self.N}, mean={self.mean:.3e}, linf={self.linf():.3e})"
 
@@ -515,7 +512,13 @@ def mollify(field, eta: float):
 # interpolation (grid → points) and deposition (points → grid)
 # ---------------------------------------------------------------------------
 
-def interpolate(field, points, method: str = "spectral", upsample: int = 4):
+# refinement of the zero-padded grid behind cubic interpolation, here and in
+# GridDrift
+_CUBIC_UPSAMPLE = 4
+
+
+def interpolate(field, points, method: str = "spectral",
+                upsample: int = _CUBIC_UPSAMPLE):
     """Evaluate a grid field at arbitrary torus points.
 
     Methods:
@@ -663,7 +666,7 @@ def _interp_cubic(values, pts: np.ndarray, r: int) -> np.ndarray:
 
 
 def interpolate_velocity(u: np.ndarray, points, method: str = "cubic",
-                         upsample: int = 4) -> np.ndarray:
+                         upsample: int = _CUBIC_UPSAMPLE) -> np.ndarray:
     """Componentwise interpolation of a ``(2, N, N)`` velocity field.
 
     Both components share one point stencil; each equals its own

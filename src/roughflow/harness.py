@@ -240,6 +240,16 @@ def _particle_sup(positions1, positions2) -> float:
     return float(_torus_distances(positions1, positions2).max())
 
 
+def _nested_meshes(config: ExperimentConfig, what: str) -> list:
+    """The config's meshes, increasing; ``GridError`` unless each divides the next."""
+    meshes = sorted(int(m) for m in config.meshes)
+    for coarse, fine in zip(meshes, meshes[1:]):
+        if fine % coarse != 0:
+            raise GridError(
+                f"{what} meshes must be nested: {fine} is not a multiple of {coarse}")
+    return meshes
+
+
 def _count_inversions(column) -> int:
     return sum(1 for a, b in zip(column, column[1:]) if b > a)
 
@@ -273,13 +283,9 @@ def run_wong_zakai(config: ExperimentConfig, *, seed=None, out_dir=None
         raise HypothesisError("config.experiment must be 'wong_zakai'")
     if not (1.0 / 3.0 < config.hurst <= 0.5):
         raise HypothesisError("Wong-Zakai experiments need hurst in (1/3, 1/2]")
-    meshes = sorted(int(m) for m in config.meshes)
-    if len(meshes) < 3:
+    if len(config.meshes) < 3:
         raise HypothesisError("need at least three driver meshes")
-    for coarse, fine in zip(meshes, meshes[1:]):
-        if fine % coarse != 0:
-            raise GridError(
-                f"driver meshes must be nested: {fine} is not a multiple of {coarse}")
+    meshes = _nested_meshes(config, "driver")
     used_seed = _seed_for(config, seed)
     sigmas = _sigma_fields(config)
     w0 = _initial_vorticity(config)
@@ -504,11 +510,7 @@ def run_remainder_scan(config: ExperimentConfig, *, seed=None, out_dir=None
     """
     if config.experiment != "remainder_scan":
         raise HypothesisError("config.experiment must be 'remainder_scan'")
-    meshes = sorted(int(m) for m in config.meshes)
-    for coarse, fine in zip(meshes, meshes[1:]):
-        if fine % coarse != 0:
-            raise GridError(
-                f"step meshes must be nested: {fine} is not a multiple of {coarse}")
+    meshes = _nested_meshes(config, "step")
     used_seed = _seed_for(config, seed)
     sigmas = _sigma_fields(config)
     w0 = _initial_vorticity(config)

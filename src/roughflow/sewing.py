@@ -159,15 +159,18 @@ class SewingResult:
         return iter((self.values, self.max_defect))
 
 
-def _sample_triples(m: int, n_triples: int, seed: int):
+_COHERENCE_TRIPLES = 256
+
+
+def _sample_triples(m: int):
     """All consecutive triples, topped up with distinct random ones."""
     triples = [(i, i + 1, i + 2) for i in range(m - 2)]
     if m <= 16:
         triples = [(i, u, j) for i, u, j in itertools.combinations(range(m), 3)]
-    elif n_triples > len(triples):
-        rng = np.random.default_rng(seed)
+    elif _COHERENCE_TRIPLES > len(triples):
+        rng = np.random.default_rng(0)
         seen = set(triples)
-        while len(triples) < n_triples:
+        while len(triples) < _COHERENCE_TRIPLES:
             i, u, j = sorted(rng.choice(m, size=3, replace=False))
             if (i, u, j) not in seen:
                 seen.add((i, u, j))
@@ -176,7 +179,7 @@ def _sample_triples(m: int, n_triples: int, seed: int):
 
 
 def sew(times, germ, zeta: float, control, *, localization: Localization | None = None,
-        coherence_cap: float = 1.0, n_triples: int = 256, seed: int = 0) -> SewingResult:
+        coherence_cap: float = 1.0) -> SewingResult:
     """Sew a coherent two-index germ into a path.
 
     The germ must be nearly additive: ``|δh_{s,u,t}| ≤ cap·ω(s,t)^{1/ζ}`` with
@@ -199,7 +202,7 @@ def sew(times, germ, zeta: float, control, *, localization: Localization | None 
     mask = localization.mask(t) if localization is not None else np.ones((m, m), bool)
     scale = float(np.abs(h).max()) or 1.0
 
-    for (i, u, j) in _sample_triples(m, n_triples, seed):
+    for (i, u, j) in _sample_triples(m):
         if not mask[i, j]:
             continue
         defect = h[i, j] - h[i, u] - h[u, j]

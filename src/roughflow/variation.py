@@ -63,6 +63,12 @@ def _as_times(times) -> np.ndarray:
     return t
 
 
+def _time_tol(times: np.ndarray) -> float:
+    """The one time-matching tolerance of a grid: ``1e-9`` of its span, with
+    the span floored at one."""
+    return _TIME_MATCH_RTOL * max(times[-1] - times[0], 1.0)
+
+
 def locate_nodes(times: np.ndarray, query, *, what: str = "time") -> np.ndarray:
     """Map query times onto indices of ``times``, requiring near-exact matches.
 
@@ -75,8 +81,7 @@ def locate_nodes(times: np.ndarray, query, *, what: str = "time") -> np.ndarray:
     left = np.clip(idx - 1, 0, times.size - 1)
     use_left = np.abs(times[left] - q) < np.abs(times[idx] - q)
     idx = np.where(use_left, left, idx)
-    span = max(times[-1] - times[0], 1.0)
-    bad = np.abs(times[idx] - q) > _TIME_MATCH_RTOL * span
+    bad = np.abs(times[idx] - q) > _time_tol(times)
     if np.any(bad):
         raise GridError(f"{what} {q[bad][0]!r} is not a node of the grid")
     return idx
@@ -125,7 +130,7 @@ class Control:
     def __call__(self, s, t):
         s_arr = np.asarray(s, dtype=float)
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr - s_arr < -_TIME_MATCH_RTOL * max(self.times[-1] - self.times[0], 1.0)):
+        if np.any(t_arr - s_arr < -_time_tol(self.times)):
             raise GridError("control evaluated with s > t")
         out = np.asarray(self._evaluate(np.minimum(s_arr, t_arr), np.maximum(s_arr, t_arr)),
                          dtype=float)

@@ -457,6 +457,18 @@ class TestGuards:
         report = prob.check()
         assert report["sup_norm"] == pytest.approx(0.9)
 
+    @pytest.mark.parametrize("k", [1, 4, 8, 16])
+    def test_check_passes_estimated_callable_drift(self, k):
+        # the estimate samples short separations, as the check does; from
+        # uniform pairs alone (separations near π) it fell below the check's
+        # sampled ratio at k = 8 and k = 16
+        rp = brownian_driver(0, 8)
+        honest = CallableDrift(lambda t, x: np.stack(
+            [np.sin(k * x[..., 1]), np.zeros_like(x[..., 0])], axis=-1))
+        prob = FlowProblem(honest, DriverPair(zero_sigma(), rp, 1),
+                           ParticleFlow.lattice(4), rp.times)
+        assert prob.check()["log_lipschitz"] == honest.log_lipschitz
+
     def test_q_exponent_default(self):
         rp = brownian_driver(0, 8, p=2.5)
         prob = FlowProblem(None, DriverPair(zero_sigma(), rp, 1),

@@ -1,12 +1,15 @@
 """Source structure: shared helpers (torus, JSON, partition DP, admissibility)
-are defined exactly once."""
+are defined exactly once, and the option surface of the solver entry points
+is pinned."""
 
 import ast
+import inspect
 import pathlib
 
 import pytest
 
 import roughflow
+from roughflow import euler, flow, roughpath, sewing
 
 SOURCE = pathlib.Path(roughflow.__file__).resolve().parent
 
@@ -30,6 +33,41 @@ def definitions(name):
 @pytest.mark.parametrize("name", ["TWO_PI", "_nearest_image", "_jsonable",
                                   "_partition_dp", "_admissible_mask",
                                   "_torus_distances", "_log_lipschitz_ratio",
-                                  "_fit_slope"])
+                                  "_fit_slope", "_time_tol"])
 def test_helper_is_defined_once(name):
     assert len(definitions(name)) == 1, definitions(name)
+
+
+# Every parameter of these entry points is set by some caller; an option
+# that nothing sets is a constant instead.  Adding one is a deliberate edit.
+PINNED_PARAMETERS = {
+    euler.solve_rough_euler: ("w0", "driver", "step_times", "particles_per_side",
+                              "interpolation", "mollify_eta", "store_times"),
+    flow.solve_nonlocal_flow: ("w0", "driver", "step_times", "particles_per_side",
+                               "interpolation", "mollify_eta", "store_times",
+                               "drift_callback"),
+    euler.solve_viscous_reference: ("w0", "sigmas", "path", "nu", "dt",
+                                    "store_times", "max_principle_tol"),
+    euler.weak_remainder: ("trajectory", "threshold", "quadrature_tol",
+                           "interpolation"),
+    euler.solution_variation_diagnostic: ("trajectory", "remainder"),
+    euler.save_run: ("trajectory", "root", "name", "binary", "config"),
+    flow.CallableDrift: ("fn", "sup_norm", "log_lipschitz", "time_span"),
+    flow.GridDrift: ("times", "snapshots", "interpolation", "mollify_eta"),
+    flow.GridDrift.measure_log_lipschitz: ("self",),
+    flow.FlowProblem.check: ("self",),
+    flow.solve_flow: ("problem", "store_times", "diagnostic_particles", "check"),
+    flow.solve_inverse_flow: ("problem", "t"),
+    flow.load_particles_csv: ("path",),
+    flow.load_particles_binary: ("path",),
+    roughpath.RoughPath.chen_defect_scan: ("self", "n_triples"),
+    roughpath.DriverPair: ("sigma_fields", "rough_path", "sign_convention"),
+    sewing.sew: ("times", "germ", "zeta", "control", "localization",
+                 "coherence_cap"),
+}
+
+
+@pytest.mark.parametrize("entry", list(PINNED_PARAMETERS),
+                         ids=lambda entry: entry.__qualname__)
+def test_entry_point_parameters_are_pinned(entry):
+    assert tuple(inspect.signature(entry).parameters) == PINNED_PARAMETERS[entry]
