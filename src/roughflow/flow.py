@@ -196,9 +196,7 @@ class GridDrift:
                 raise GridError("drift snapshots must have shape (2, N, N)")
         if mollify_eta is not None:
             snaps = [np.stack([mollify(c, mollify_eta) for c in s]) for s in snaps]
-        self.snapshots = snaps
         self.interpolation = interpolation
-        self.mollify_eta = mollify_eta
         self.sup_norm = max(float(np.abs(s).max()) for s in snaps)
         self.log_lipschitz: float | None = None
         if interpolation == "cubic":
@@ -416,19 +414,18 @@ class FlowProblem:
         Confirms the sup norm is finite and honest, and that the sampled
         log-Lipschitz ratio ``|u(t,x)−u(t,y)|/γ(d)`` over 128 pairs at
         separations of about 0.1 stays within 1.05 times the declared
-        constant.  Raises ``HypothesisError`` otherwise.
+        constant.  A :class:`GridDrift` declares no constant; its measured one
+        (:meth:`GridDrift.measure_log_lipschitz`) is reported, and only its
+        sup norm is checked.  Raises ``HypothesisError`` otherwise.
         """
         drift = self.drift
         if not np.isfinite(drift.sup_norm):
             raise HypothesisError("drift sup norm must be finite")
+        # a grid drift's constant is its own measurement: nothing to verify
+        measured = isinstance(drift, GridDrift)
         declared = drift.log_lipschitz
-        measured_now = False
         if declared is None:
-            if isinstance(drift, GridDrift):
-                declared = drift.measure_log_lipschitz()
-                measured_now = True
-            else:  # pragma: no cover - all bundled drifts declare a constant
-                raise HypothesisError("drift declares no log-Lipschitz constant")
+            declared = drift.measure_log_lipschitz()
         overshoot = getattr(drift, "sup_overshoot", 1.0)
         sup_allowed = drift.sup_norm * overshoot * (1 + 1e-9) + 1e-12
         rng = np.random.default_rng(0)
@@ -442,8 +439,8 @@ class FlowProblem:
             # componentwise max, matching the C^0 convention of the catalog
             if float(np.abs(u).max()) > sup_allowed:
                 raise HypothesisError("drift exceeds its declared sup norm")
-            if measured_now:
-                continue  # the measurement is the declaration; nothing to verify
+            if measured:
+                continue
             ratio = _log_lipschitz_ratio(u, drift.velocity(t, y), d)
             if ratio > declared * 1.05 + 1e-12:
                 raise HypothesisError(

@@ -13,8 +13,13 @@ Output layout under ``<out>/<experiment>/``::
     meta.json            config echo, config hash, library version,
                          measured constants, pass flag
     <table>.csv          one or more result tables
-    mesh_<m>/ ...        per-mesh artifacts (final fields), one
-                         subdirectory per independent sub-run
+    mesh_<m>/final_field.csv
+                         the final vorticity of each independent sub-run,
+                         written with the result (``mesh_fields``)
+
+Each experiment is registered once, by :func:`_experiment`: its name, its
+tolerance keys with their defaults, and a body that maps ``(config, seed)``
+to the pass flag, tables, measured constants and per-mesh final fields.
 """
 
 import dataclasses
@@ -58,10 +63,6 @@ from .flow import (
 from .roughpath import DriverPair, lift_piecewise_linear, sample_fbm, variation_control
 from .variation import _default_localization
 
-EXPERIMENTS = ("wong_zakai", "stability", "steady_check", "remainder_scan",
-               "flow_convergence")
-
-
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
@@ -91,7 +92,7 @@ class ExperimentConfig:
     field specs (see :func:`roughflow.fields.field_from_spec`); ``w0_modes``
     is either a tuple of ``(k1, k2, amplitude[, phase])`` rows or a path to a
     saved field CSV.  ``tolerances`` collects the experiment's pass-criterion
-    knobs; unknown keys are ignored by runners that do not read them.
+    knobs; a key the experiment does not accept is a ``HypothesisError``.
     """
 
     experiment: str
@@ -112,6 +113,12 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise HypothesisError(
                 f"unknown experiment {self.experiment!r}; choose from {EXPERIMENTS}")
+        accepted = tuple(_TOLERANCE_DEFAULTS[self.experiment])
+        unknown = sorted(set(self.tolerances) - set(accepted))
+        if unknown:
+            raise HypothesisError(
+                f"unknown tolerance key(s) {unknown} for {self.experiment}; "
+                f"accepted keys are {accepted}")
         if not (8 <= int(self.resolution) <= 1024):
             raise HypothesisError("resolution must lie in [8, 1024]")
         if not (2 <= int(self.particles) <= 4096):
@@ -175,6 +182,7 @@ class ExperimentResult:
     config: ExperimentConfig
     seed: int
     out_dir: str | None = None
+    mesh_fields: dict = field(default_factory=dict)  # mesh -> final VorticityGrid
 
     def table(self, name: str = "table"):
         return self.tables[name]
@@ -183,6 +191,10 @@ class ExperimentResult:
         from roughflow import __version__
         out = os.path.join(str(out_root), self.experiment)
         os.makedirs(out, exist_ok=True)
+        for mesh, grid in self.mesh_fields.items():
+            sub = os.path.join(out, f"mesh_{int(mesh):05d}")
+            os.makedirs(sub, exist_ok=True)
+            save_field_csv(grid, os.path.join(sub, "final_field.csv"))
         for name, (columns, rows) in self.tables.items():
             path = os.path.join(out, f"{name}.csv")
             with open(path, "w", encoding="ascii") as handle:
@@ -205,6 +217,8 @@ class ExperimentResult:
         return out
 
 
+
+
 # ---------------------------------------------------------------------------
 # shared pieces
 # ---------------------------------------------------------------------------
@@ -225,8 +239,27 @@ def _p_from_hurst(hurst: float) -> float:
     return float(min(2.9, max(2.0, 1.0 / hurst + 0.1)))
 
 
-def _seed_for(config: ExperimentConfig, seed) -> int:
-    return int(config.seeds[0] if seed is None else seed)
+@dataclass(frozen=True)
+class _FbmSample:
+    """One seeded H-fBm draw on ``mesh + 1`` uniform nodes of the horizon."""
+
+    times: np.ndarray
+    values: np.ndarray
+    p_exponent: float
+
+    @classmethod
+    def draw(cls, config: ExperimentConfig, mesh: int, seed: int) -> "_FbmSample":
+        values = sample_fbm(config.hurst, mesh, config.horizon,
+                            dims=len(config.sigma), seed=seed)
+        return cls(np.linspace(0.0, config.horizon, mesh + 1), values,
+                   _p_from_hurst(config.hurst))
+
+    def driver(self, sigmas, *, stride: int = 1, scale: float = 1.0) -> DriverPair:
+        """Transport driver on every ``stride``-th node: the piecewise-linear
+        lift of the sample times ``scale``.  Its grid is the step grid."""
+        rough = lift_piecewise_linear(self.times[::stride],
+                                      self.values[::stride] * scale, self.p_exponent)
+        return DriverPair(sigmas, rough, sign_convention=-1)
 
 
 def proxy_distance(values1, values2, family: FourierTestFunctions) -> float:
@@ -254,21 +287,52 @@ def _count_inversions(column) -> int:
     return sum(1 for a, b in zip(column, column[1:]) if b > a)
 
 
-def _save_mesh_field(out_dir, mesh, grid) -> None:
-    if out_dir is None:
-        return
-    sub = os.path.join(str(out_dir), f"mesh_{int(mesh):05d}")
-    os.makedirs(sub, exist_ok=True)
-    save_field_csv(grid, os.path.join(sub, "final_field.csv"))
-
-
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
 
-def run_wong_zakai(config: ExperimentConfig, *, seed=None, out_dir=None
-                   ) -> ExperimentResult:
+RUNNERS = {}
+_TOLERANCE_DEFAULTS = {}  # experiment -> {accepted tolerance key: default}
+
+
+def _experiment(**tolerance_defaults):
+    """Register ``run_<name>(config, seed, tolerances)`` as experiment ``<name>``.
+
+    The keyword arguments are the tolerance keys the experiment accepts, with
+    their defaults; the body sees them merged with ``config.tolerances``.  It
+    returns ``(passed, tables, measured, mesh_fields)``.  The registered
+    runner ``run_<name>(config, *, seed=None, out_dir=None)`` checks the
+    config's experiment, resolves the seed (``seed`` overrides
+    ``config.seeds[0]``), and builds the result, writing it under ``out_dir``
+    when one is given.
+    """
+    def register(body):
+        name = body.__name__.removeprefix("run_")
+
+        def run(config: ExperimentConfig, *, seed=None, out_dir=None
+                ) -> ExperimentResult:
+            if config.experiment != name:
+                raise HypothesisError(f"config.experiment must be {name!r}")
+            used_seed = int(config.seeds[0] if seed is None else seed)
+            tolerances = {**tolerance_defaults, **config.tolerances}
+            passed, tables, measured, mesh_fields = body(config, used_seed, tolerances)
+            result = ExperimentResult(name, passed, tables, measured, config,
+                                      used_seed, mesh_fields=mesh_fields)
+            if out_dir is not None:
+                result.write(out_dir)
+            return result
+
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        RUNNERS[name] = run
+        _TOLERANCE_DEFAULTS[name] = tolerance_defaults
+        return run
+    return register
+
+
+@_experiment(max_inversions=1, rde_tolerance=0.01)
+def run_wong_zakai(config, seed, tolerances):
     """Driver-approximation convergence for one sampled fBm path.
 
     Solves the transport problem with piecewise-linear lifts of the same
@@ -279,33 +343,22 @@ def run_wong_zakai(config: ExperimentConfig, *, seed=None, out_dir=None
     For ``hurst = 0.5`` a scalar multiplicative sub-test against the exact
     exponential solution is appended as a second table.
     """
-    if config.experiment != "wong_zakai":
-        raise HypothesisError("config.experiment must be 'wong_zakai'")
     if not (1.0 / 3.0 < config.hurst <= 0.5):
         raise HypothesisError("Wong-Zakai experiments need hurst in (1/3, 1/2]")
     if len(config.meshes) < 3:
         raise HypothesisError("need at least three driver meshes")
     meshes = _nested_meshes(config, "driver")
-    used_seed = _seed_for(config, seed)
     sigmas = _sigma_fields(config)
     w0 = _initial_vorticity(config)
-    p_exponent = _p_from_hurst(config.hurst)
 
     finest = meshes[-1]
-    fine_times = np.linspace(0.0, config.horizon, finest + 1)
-    fine_values = sample_fbm(config.hurst, finest, config.horizon,
-                             dims=len(sigmas), seed=used_seed)
+    fbm = _FbmSample.draw(config, finest, seed)
     finals = []
     for mesh in meshes:
-        stride = finest // mesh
-        times = fine_times[::stride]
-        rough = lift_piecewise_linear(times, fine_values[::stride], p_exponent)
-        driver = DriverPair(sigmas, rough, sign_convention=-1)
-        run = solve_rough_euler(w0, driver, times,
+        driver = fbm.driver(sigmas, stride=finest // mesh)
+        run = solve_rough_euler(w0, driver, driver.rough_path.times,
                                 particles_per_side=config.particles)
         finals.append(run.final)
-        _save_mesh_field(out_dir and os.path.join(out_dir, "wong_zakai"),
-                         mesh, run.final.vorticity)
 
     family = FourierTestFunctions(w0.N)
     rows = []
@@ -327,9 +380,8 @@ def run_wong_zakai(config: ExperimentConfig, *, seed=None, out_dir=None
                      "distance_to_next": d_next, "particle_sup_to_next": s_next})
 
     column = [row["distance_to_finest"] for row in rows[:-1]]
-    max_inversions = int(config.tolerances.get("max_inversions", 1))
     slope = _fit_slope([1.0 / m for m in meshes[:-1]], consecutive)
-    passed = (_count_inversions(column) <= max_inversions
+    passed = (_count_inversions(column) <= int(tolerances["max_inversions"])
               and column[-1] <= column[0])
     tables = {"table": (["mesh", "distance_to_finest", "distance_to_next",
                          "particle_sup_to_next"], rows)}
@@ -337,17 +389,16 @@ def run_wong_zakai(config: ExperimentConfig, *, seed=None, out_dir=None
                 "finest_distance": column[-1]}
 
     if config.hurst == 0.5:
-        exact = math.exp(float(fine_values[-1, 0]))
+        exact = math.exp(float(fbm.values[-1, 0]))
         rde_rows = []
         for mesh in meshes:
-            stride = finest // mesh
-            z = fine_values[::stride, 0]
+            z = fbm.values[::finest // mesh, 0]
             dz = np.diff(z)
             y = float(np.prod(1.0 + dz + 0.5 * dz * dz))
             rde_rows.append({"mesh": mesh, "terminal_value": y,
                              "error": abs(y - exact)})
         errors = [row["error"] for row in rde_rows]
-        rde_tol = float(config.tolerances.get("rde_tolerance", 0.01))
+        rde_tol = float(tolerances["rde_tolerance"])
         rde_passed = errors[-1] <= rde_tol * max(1.0, abs(exact)) \
             and errors[-1] <= errors[0]
         passed = passed and rde_passed
@@ -355,18 +406,15 @@ def run_wong_zakai(config: ExperimentConfig, *, seed=None, out_dir=None
         measured["rde_error"] = errors[-1]
         measured["rde_exact"] = exact
 
-    result = ExperimentResult("wong_zakai", passed, tables, measured, config,
-                              used_seed)
-    if out_dir is not None:
-        result.write(out_dir)
-    return result
+    mesh_fields = {mesh: final.vorticity for mesh, final in zip(meshes, finals)}
+    return passed, tables, measured, mesh_fields
 
 
 _PERTURBATION_KINDS = ("w0", "sigma", "driver")
 
 
-def run_stability(config: ExperimentConfig, *, seed=None, out_dir=None
-                  ) -> ExperimentResult:
+@_experiment(perturbation_sizes=(0.2, 0.1, 0.05), perturbation_kinds=_PERTURBATION_KINDS)
+def run_stability(config, seed, tolerances):
     """Solution-map continuity: perturb w0, σ, or the driver one at a time.
 
     The baseline row re-solves the unperturbed problem and must reproduce it
@@ -374,33 +422,24 @@ def run_stability(config: ExperimentConfig, *, seed=None, out_dir=None
     column decreases with the perturbation size and the zero-perturbation
     distance is exactly zero.
     """
-    if config.experiment != "stability":
-        raise HypothesisError("config.experiment must be 'stability'")
-    sizes = tuple(float(s) for s in
-                  config.tolerances.get("perturbation_sizes", (0.2, 0.1, 0.05)))
+    sizes = tuple(float(s) for s in tolerances["perturbation_sizes"])
     if len(sizes) < 2 or any(s <= 0 for s in sizes):
         raise HypothesisError("perturbation_sizes must be ≥ 2 positive values")
     sizes = tuple(sorted(sizes, reverse=True))
-    kinds = tuple(config.tolerances.get("perturbation_kinds", _PERTURBATION_KINDS))
+    kinds = tuple(tolerances["perturbation_kinds"])
     bad = [k for k in kinds if k not in _PERTURBATION_KINDS]
     if bad:
         raise HypothesisError(
             f"perturbation leaves the admissible class: unknown kind(s) {bad}; "
             f"supported kinds are {_PERTURBATION_KINDS}")
 
-    used_seed = _seed_for(config, seed)
     sigmas = _sigma_fields(config)
     w0 = _initial_vorticity(config)
-    mesh = int(sorted(config.meshes)[-1])
-    p_exponent = _p_from_hurst(config.hurst)
-    times = np.linspace(0.0, config.horizon, mesh + 1)
-    values = sample_fbm(config.hurst, mesh, config.horizon,
-                        dims=len(sigmas), seed=used_seed)
-    rough = lift_piecewise_linear(times, values, p_exponent)
-    base_driver = DriverPair(sigmas, rough, sign_convention=-1)
+    fbm = _FbmSample.draw(config, int(sorted(config.meshes)[-1]), seed)
+    base_driver = fbm.driver(sigmas)
 
     def solve(w, driver):
-        return solve_rough_euler(w, driver, times,
+        return solve_rough_euler(w, driver, fbm.times,
                                  particles_per_side=config.particles).final
 
     base = solve(w0, base_driver)
@@ -425,11 +464,9 @@ def run_stability(config: ExperimentConfig, *, seed=None, out_dir=None
             elif kind == "sigma":
                 bumped = (SumField(sigmas[0], GradPerpField(size, (1, 1))),
                           ) + sigmas[1:]
-                final = solve(w0, DriverPair(bumped, rough, sign_convention=-1))
+                final = solve(w0, fbm.driver(bumped))
             else:  # driver
-                scaled = lift_piecewise_linear(times, values * (1.0 + size),
-                                               p_exponent)
-                final = solve(w0, DriverPair(sigmas, scaled, sign_convention=-1))
+                final = solve(w0, fbm.driver(sigmas, scale=1.0 + size))
             distance, sup = measure(final)
             rows.append({"kind": kind, "size": size, "distance": distance,
                          "particle_sup": sup})
@@ -441,29 +478,20 @@ def run_stability(config: ExperimentConfig, *, seed=None, out_dir=None
     measured = {"self_distance": self_distance,
                 "response": {k: max(d / s for d, s in zip(col, sizes))
                              for k, col in per_kind.items()}}
-    result = ExperimentResult("stability", passed,
-                              {"table": (["kind", "size", "distance",
-                                          "particle_sup"], rows)},
-                              measured, config, used_seed)
-    if out_dir is not None:
-        result.write(out_dir)
-    return result
+    return (passed, {"table": (["kind", "size", "distance", "particle_sup"], rows)},
+            measured, {})
 
 
-def run_steady_check(config: ExperimentConfig, *, seed=None, out_dir=None
-                     ) -> ExperimentResult:
+@_experiment(n_steps=16, l1_tolerance=1e-3)
+def run_steady_check(config, seed, tolerances):
     """Drift-free transport of a steady state (driver forced to zero).
 
     Pass criterion: the area-averaged L¹ distance of every stored deposit to
     the analytic initial field stays below ``tolerances["l1_tolerance"]``
     (default 1e-3).
     """
-    if config.experiment != "steady_check":
-        raise HypothesisError("config.experiment must be 'steady_check'")
-    used_seed = _seed_for(config, seed)
     w0 = _initial_vorticity(config)
-    n_steps = int(config.tolerances.get("n_steps", 16))
-    times = np.linspace(0.0, config.horizon, n_steps + 1)
+    times = np.linspace(0.0, config.horizon, int(tolerances["n_steps"]) + 1)
     rough = lift_piecewise_linear(np.array([0.0, config.horizon]),
                                   np.zeros((2, 1)), 2.5)
     driver = DriverPair((ConstantField((0.0, 0.0)),), rough, sign_convention=-1)
@@ -481,24 +509,18 @@ def run_steady_check(config: ExperimentConfig, *, seed=None, out_dir=None
             "l1_drift_vs_first_deposit": float(
                 np.abs(state.vorticity.values - first).mean()),
         })
-    tolerance = float(config.tolerances.get("l1_tolerance", 1e-3))
+    tolerance = float(tolerances["l1_tolerance"])
     worst = max(row["l1_drift_vs_initial_field"] for row in rows)
-    passed = worst <= tolerance
-    result = ExperimentResult(
-        "steady_check", passed,
-        {"table": (["time", "l1_drift_vs_initial_field",
-                    "l1_drift_vs_first_deposit"], rows)},
-        {"worst_drift": worst, "tolerance": tolerance,
-         "conservation_drift": run.conservation_drift,
-         "sup_excess": run.sup_excess},
-        config, used_seed)
-    if out_dir is not None:
-        result.write(out_dir)
-    return result
+    tables = {"table": (["time", "l1_drift_vs_initial_field",
+                         "l1_drift_vs_first_deposit"], rows)}
+    measured = {"worst_drift": worst, "tolerance": tolerance,
+                "conservation_drift": run.conservation_drift,
+                "sup_excess": run.sup_excess}
+    return worst <= tolerance, tables, measured, {}
 
 
-def run_remainder_scan(config: ExperimentConfig, *, seed=None, out_dir=None
-                       ) -> ExperimentResult:
+@_experiment(slope_band=0.3, stability_band=0.2)
+def run_remainder_scan(config, seed, tolerances):
     """Weak-remainder regularity scan over nested step grids.
 
     The driver is sampled at the coarsest mesh; finer meshes refine only the
@@ -508,25 +530,16 @@ def run_remainder_scan(config: ExperimentConfig, *, seed=None, out_dir=None
     values stay within ``±stability_band`` (defaults 0.3 and 0.2, the
     a-priori-estimate scaling at Brownian regularity).
     """
-    if config.experiment != "remainder_scan":
-        raise HypothesisError("config.experiment must be 'remainder_scan'")
     meshes = _nested_meshes(config, "step")
-    used_seed = _seed_for(config, seed)
     sigmas = _sigma_fields(config)
     w0 = _initial_vorticity(config)
-    p_exponent = _p_from_hurst(config.hurst)
-
-    base_mesh = meshes[0]
-    base_times = np.linspace(0.0, config.horizon, base_mesh + 1)
-    values = sample_fbm(config.hurst, base_mesh, config.horizon,
-                        dims=len(sigmas), seed=used_seed)
-    rough = lift_piecewise_linear(base_times, values, p_exponent)
-    driver = DriverPair(sigmas, rough, sign_convention=-1)
-
-    threshold = _default_localization(variation_control(rough, base_times),
-                                      base_times, p_exponent).threshold
+    fbm = _FbmSample.draw(config, meshes[0], seed)
+    driver = fbm.driver(sigmas)
+    threshold = _default_localization(variation_control(driver.rough_path, fbm.times),
+                                      fbm.times, fbm.p_exponent).threshold
 
     rows = []
+    mesh_fields = {}
     for mesh in meshes:
         times = np.linspace(0.0, config.horizon, mesh + 1)
         run = solve_rough_euler(w0, driver, times,
@@ -538,12 +551,11 @@ def run_remainder_scan(config: ExperimentConfig, *, seed=None, out_dir=None
                      "scaling_slope": report.scaling_slope,
                      "additivity_defect": report.additivity_defect,
                      "quadrature_error": report.quadrature_error})
-        _save_mesh_field(out_dir and os.path.join(out_dir, "remainder_scan"),
-                         mesh, run.final.vorticity)
+        mesh_fields[mesh] = run.final.vorticity
 
-    slope_target = 3.0 / p_exponent
-    slope_band = float(config.tolerances.get("slope_band", 0.3))
-    stability_band = float(config.tolerances.get("stability_band", 0.2))
+    slope_target = 3.0 / fbm.p_exponent
+    slope_band = float(tolerances["slope_band"])
+    stability_band = float(tolerances["stability_band"])
     norms = [row["variation_norm"] for row in rows]
     ratios = [b / a for a, b in zip(norms, norms[1:])]
     passed = (all(np.isfinite(n) and n > 0 for n in norms)
@@ -554,18 +566,13 @@ def run_remainder_scan(config: ExperimentConfig, *, seed=None, out_dir=None
               and all(row["additivity_defect"] <= 1e-10 for row in rows))
     measured = {"slope_target": slope_target, "threshold": threshold,
                 "ratios": tuple(ratios)}
-    result = ExperimentResult(
-        "remainder_scan", passed,
-        {"table": (["mesh", "variation_norm", "scaling_slope",
-                    "additivity_defect", "quadrature_error"], rows)},
-        measured, config, used_seed)
-    if out_dir is not None:
-        result.write(out_dir)
-    return result
+    tables = {"table": (["mesh", "variation_norm", "scaling_slope",
+                         "additivity_defect", "quadrature_error"], rows)}
+    return passed, tables, measured, mesh_fields
 
 
-def run_flow_convergence(config: ExperimentConfig, *, seed=None, out_dir=None
-                         ) -> ExperimentResult:
+@_experiment(perturbation_sizes=(0.1, 0.05))
+def run_flow_convergence(config, seed, tolerances):
     """Two-flow stability: measured sup-distance vs. the evaluated bound.
 
     Runs the base flow (steady Biot-Savart drift of ``w0`` plus the rough
@@ -574,23 +581,15 @@ def run_flow_convergence(config: ExperimentConfig, *, seed=None, out_dir=None
     by δ — and checks domination by the Osgood-type right side with the
     frozen library constant.
     """
-    if config.experiment != "flow_convergence":
-        raise HypothesisError("config.experiment must be 'flow_convergence'")
-    used_seed = _seed_for(config, seed)
     sigmas = _sigma_fields(config)
     w0 = _initial_vorticity(config)
-    mesh = int(sorted(config.meshes)[-1])
-    p_exponent = _p_from_hurst(config.hurst)
-    times = np.linspace(0.0, config.horizon, mesh + 1)
-    values = sample_fbm(config.hurst, mesh, config.horizon,
-                        dims=len(sigmas), seed=used_seed)
-    rough = lift_piecewise_linear(times, values, p_exponent)
-    driver = DriverPair(sigmas, rough, sign_convention=-1)
+    fbm = _FbmSample.draw(config, int(sorted(config.meshes)[-1]), seed)
+    times = fbm.times
+    driver = fbm.driver(sigmas)
     velocity = biot_savart(VorticityGrid(w0.values - w0.mean))
     drift = GridDrift(np.array([0.0]), [velocity])
     initial = ParticleFlow.lattice(config.particles, w0)
-    sizes = tuple(float(s) for s in
-                  config.tolerances.get("perturbation_sizes", (0.1, 0.05)))
+    sizes = tuple(float(s) for s in tolerances["perturbation_sizes"])
 
     pos1 = solve_flow(FlowProblem(drift, driver, initial, times),
                       store_times="steps").positions_array()
@@ -629,22 +628,10 @@ def run_flow_convergence(config: ExperimentConfig, *, seed=None, out_dir=None
     passed = left0 == 0.0 and all(row["left"] <= row["right"] for row in rows)
     measured = {"constant_used": LAGRANGIAN_STABILITY_CONSTANT,
                 "max_ratio_vs_unit_constant": max(ratios) if ratios else 0.0}
-    result = ExperimentResult(
-        "flow_convergence", passed,
-        {"table": (["case", "size", "left", "right"], rows)},
-        measured, config, used_seed)
-    if out_dir is not None:
-        result.write(out_dir)
-    return result
+    return passed, {"table": (["case", "size", "left", "right"], rows)}, measured, {}
 
 
-RUNNERS = {
-    "wong_zakai": run_wong_zakai,
-    "stability": run_stability,
-    "steady_check": run_steady_check,
-    "remainder_scan": run_remainder_scan,
-    "flow_convergence": run_flow_convergence,
-}
+EXPERIMENTS = tuple(RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig, *, seed=None, out_dir=None

@@ -198,38 +198,37 @@ class Control:
 
     # -- contract checks ----------------------------------------------------
 
-    def superadditivity_defect(self, times=None) -> float:
+    def superadditivity_defect(self) -> float:
         """Largest violation ``ω(s, u) + ω(u, t) − ω(s, t)`` over grid triples.
 
         A nonpositive value (up to rounding) certifies superadditivity on the
-        grid.  Cost is O(m³) over ``m`` nodes; pass a subsampled grid for
-        large paths.
+        grid.  Cost is O(m³) over the control's ``m`` nodes.
         """
-        t = self.times if times is None else _as_times(times)
-        table = self.pair_table(t)
+        table = self.pair_table(self.times)
         worst = -np.inf
-        for j in range(1, t.size - 1):
+        for j in range(1, self.times.size - 1):
             gap = table[:j, j, None] + table[None, j, j + 1:] - table[:j, j + 1:]
             worst = max(worst, float(gap.max()))
         return worst if np.isfinite(worst) else 0.0
 
-    def check(self, times=None, *, abs_tol: float = SUPERADDITIVITY_ABS_TOL,
-              rel_tol: float = SUPERADDITIVITY_REL_TOL) -> None:
-        """Validate diagonal zeros, nonnegativity, and superadditivity.
+    def check(self) -> None:
+        """Validate diagonal zeros, nonnegativity, and superadditivity on the
+        control's grid.
 
         Raises:
-            ControlError: on any violation beyond ``abs_tol + rel_tol·scale``.
+            ControlError: on any violation beyond
+                ``SUPERADDITIVITY_ABS_TOL + SUPERADDITIVITY_REL_TOL·scale``.
         """
-        t = self.times if times is None else _as_times(times)
+        t = self.times
         diag = np.abs(self(t, t))
         table = self.pair_table(t)
         scale = float(np.abs(table).max()) if table.size else 0.0
-        tol = abs_tol + rel_tol * scale
+        tol = SUPERADDITIVITY_ABS_TOL + SUPERADDITIVITY_REL_TOL * scale
         if diag.max(initial=0.0) > tol:
             raise ControlError("control is nonzero on the diagonal")
         if table.min(initial=0.0) < -tol:
             raise ControlError("control takes negative values")
-        defect = self.superadditivity_defect(t)
+        defect = self.superadditivity_defect()
         if defect > tol:
             raise ControlError(f"control is not superadditive (defect {defect:.3e} > {tol:.3e})")
 
@@ -461,8 +460,7 @@ def best_control(values=None, p: float = 2.0, loc: Localization | None = None, *
 
 def rough_gronwall_bound(G0: float, omega1: Control, omega2: Control | None = None,
                          omega3: Control | None = None, *, L: float, C: float,
-                         k: float, k_prime: float, C_prime: float = 0.0,
-                         times=None, sup_tail_terms: tuple[float, float] | None = None) -> float:
+                         k: float, k_prime: float, C_prime: float = 0.0) -> float:
     """A-priori sup bound for increment inequalities driven by controls.
 
     For a path ``G ≥ 0`` whose increments satisfy, on every interval with
@@ -484,12 +482,10 @@ def rough_gronwall_bound(G0: float, omega1: Control, omega2: Control | None = No
         L: localization threshold (> 0).
         C, k, k_prime, C_prime: the constants of the increment inequality;
             requires ``C > 0``, ``k >= k_prime >= 1``, ``C_prime >= 0``.
-        times: evaluation grid for the sups (default: ``omega1.times``).
-        sup_tail_terms: optional precomputed pair
-            ``(sup ω₃-term, sup ω₂-term)`` overriding the internal evaluation.
 
     Returns:
-        The bound on ``sup_{[0,T]} G`` (a nonnegative float).
+        The bound on ``sup_{[0,T]} G`` (a nonnegative float), with the sups
+        evaluated on ``omega1.times``.
 
     Raises:
         HypothesisError: constants out of range, or ``ω₂ > ω₁`` somewhere on
@@ -504,7 +500,7 @@ def rough_gronwall_bound(G0: float, omega1: Control, omega2: Control | None = No
     if C_prime < 0:
         raise HypothesisError("rough Gronwall bound requires C' >= 0")
 
-    t = _as_times(times) if times is not None else omega1.times
+    t = omega1.times
     if omega2 is None:
         omega2 = Control.zero(t)
     if omega3 is None:
@@ -525,14 +521,11 @@ def rough_gronwall_bound(G0: float, omega1: Control, omega2: Control | None = No
     if np.any(tab2 > tab1 + slack):
         raise HypothesisError("rough Gronwall hypothesis violated: ω₂ exceeds ω₁ on the grid")
 
-    if sup_tail_terms is not None:
-        tail3, tail2 = float(sup_tail_terms[0]), float(sup_tail_terms[1])
-    else:
-        decay = np.exp(-w1 / (alpha * L))
-        tail3 = float(np.max(w3 * decay))
-        expo = (1.0 - theta) / k_prime
-        w2_term = np.power(w2, expo, out=np.zeros_like(w2), where=w2 > 0)
-        tail2 = float(np.max(w2_term * decay))
+    decay = np.exp(-w1 / (alpha * L))
+    tail3 = float(np.max(w3 * decay))
+    expo = (1.0 - theta) / k_prime
+    w2_term = np.power(w2, expo, out=np.zeros_like(w2), where=w2 > 0)
+    tail2 = float(np.max(w2_term * decay))
 
     total = float(w1[-1])
     # the exponential is astronomically conservative for rough drivers; let it

@@ -20,6 +20,7 @@ from roughflow.fields import (
     interpolate,
     interpolate_velocity,
     mollify,
+    vorticity_from_modes,
 )
 from roughflow.flow import (
     LAGRANGIAN_STABILITY_CONSTANT,
@@ -468,6 +469,20 @@ class TestGuards:
         prob = FlowProblem(honest, DriverPair(zero_sigma(), rp, 1),
                            ParticleFlow.lattice(4), rp.times)
         assert prob.check()["log_lipschitz"] == honest.log_lipschitz
+
+    @pytest.mark.parametrize("modes", [((0, 6, 1.0),), ((3, 4, 1.0),)])
+    def test_grid_drift_check_repeats(self, modes):
+        # a grid drift's constant is its own measurement; a second check once
+        # held a fresh short-separation sample against it and raised
+        rp = brownian_driver(0, 8)
+        w0 = vorticity_from_modes(list(modes), 32)
+        drift = GridDrift(np.array([0.0]),
+                          [biot_savart(VorticityGrid(w0.values - w0.mean))])
+        prob = FlowProblem(drift, DriverPair(zero_sigma(), rp, 1),
+                           ParticleFlow.lattice(4), rp.times)
+        first = prob.check()
+        assert prob.check() == first
+        assert first["log_lipschitz"] == drift.log_lipschitz
 
     def test_q_exponent_default(self):
         rp = brownian_driver(0, 8, p=2.5)

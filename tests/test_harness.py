@@ -1,6 +1,7 @@
 """Experiment harness: configs, runners, output determinism, and the CLI."""
 
 import hashlib
+import inspect
 import json
 import pathlib
 
@@ -85,6 +86,30 @@ class TestExperimentConfig:
     def test_out_of_range_fields_rejected(self, bad):
         with pytest.raises(HypothesisError):
             smoke_config("stability", **bad)
+
+    @pytest.mark.parametrize("experiment, key", [
+        ("steady_check", "l1_tolerence"),
+        ("remainder_scan", "slope_bnd"),
+        ("flow_convergence", "perturbation_kinds"),   # a stability key
+    ])
+    def test_unknown_tolerance_key_rejected(self, experiment, key):
+        with pytest.raises(HypothesisError, match="unknown tolerance key") as info:
+            smoke_config(experiment, tolerances={key: 0.1})
+        message = str(info.value)
+        assert key in message
+        for accepted in harness._TOLERANCE_DEFAULTS[experiment]:
+            assert accepted in message
+
+    def test_accepted_tolerance_keys(self):
+        accepted = {name: tuple(keys)
+                    for name, keys in harness._TOLERANCE_DEFAULTS.items()}
+        assert accepted == {
+            "wong_zakai": ("max_inversions", "rde_tolerance"),
+            "stability": ("perturbation_sizes", "perturbation_kinds"),
+            "steady_check": ("n_steps", "l1_tolerance"),
+            "remainder_scan": ("slope_band", "stability_band"),
+            "flow_convergence": ("perturbation_sizes",),
+        }
 
     def test_non_json_value_rejected(self):
         with pytest.raises(GridError, match="JSON"):
@@ -256,6 +281,15 @@ class TestFlowConvergence:
             assert 0.0 < row["left"] <= row["right"]
         assert result.measured["max_ratio_vs_unit_constant"] <= 1.0
 
+    @pytest.mark.parametrize("modes", [((0, 6, 1.0),), ((3, 4, 1.0),)])
+    def test_base_drift_passes_its_repeated_checks(self, modes):
+        # every solve on the base drift checks it; the second check once
+        # raised on these fields
+        config = smoke_config("flow_convergence", particles=32, meshes=(32,),
+                              w0_modes=modes,
+                              tolerances={"perturbation_sizes": (0.1, 0.05)})
+        assert run_flow_convergence(config).passed
+
     def test_base_flow_solved_once_and_bound_once_per_pair(self, monkeypatch):
         sizes = (0.1, 0.05, 0.02)
         config = smoke_config("flow_convergence", particles=16, meshes=(16,),
@@ -296,6 +330,15 @@ class TestDispatch:
                               tolerances={"n_steps": 4, "l1_tolerance": 0.1})
         assert run_experiment(config).experiment == "steady_check"
 
+    def test_runners_are_the_module_functions(self):
+        assert tuple(harness.RUNNERS) == EXPERIMENTS
+        for name, runner in harness.RUNNERS.items():
+            assert getattr(harness, f"run_{name}") is runner
+            assert runner.__name__ == f"run_{name}"
+            assert runner.__doc__
+            assert tuple(inspect.signature(runner).parameters) == (
+                "config", "seed", "out_dir")
+
     def test_seed_override_changes_the_draw(self):
         config = smoke_config("remainder_scan", meshes=(64, 128))
         a = run_remainder_scan(config, seed=3)
@@ -303,6 +346,37 @@ class TestDispatch:
         assert a.seed == 3 and b.seed == 4
         assert (a.table()[1][0]["variation_norm"]
                 != b.table()[1][0]["variation_norm"])
+
+
+# Tiny sizes: the rerun and the file layout do not depend on them.
+TINY_RUNS = [
+    ("wong_zakai", {"meshes": (8, 16, 32)}),
+    ("wong_zakai", {"meshes": (8, 16, 32), "hurst": 0.4}),
+    ("stability", {"meshes": (16,), "tolerances": {"perturbation_sizes": (0.2, 0.1)}}),
+    ("steady_check", {"tolerances": {"n_steps": 4}}),
+    ("remainder_scan", {"meshes": (16, 32)}),
+    ("flow_convergence", {"meshes": (16,)}),
+]
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("experiment, overrides", TINY_RUNS,
+                             ids=[f"{e}-{i}" for i, (e, _) in enumerate(TINY_RUNS)])
+    def test_rerun_is_bit_identical_with_the_documented_files(
+            self, tmp_path, experiment, overrides):
+        config = smoke_config(experiment, particles=32, **overrides)
+        run_experiment(config, out_dir=tmp_path / "a")
+        run_experiment(config, out_dir=tmp_path / "b")
+        assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
+        assert [p.name for p in (tmp_path / "a").iterdir()] == [experiment]
+        expected = {"table.csv", "meta.json"}
+        if experiment == "wong_zakai" and config.hurst == 0.5:
+            expected.add("scalar_rde.csv")
+        if experiment in ("wong_zakai", "remainder_scan"):
+            expected |= {f"mesh_{m:05d}/final_field.csv" for m in config.meshes}
+        out = tmp_path / "a" / experiment
+        assert {p.relative_to(out).as_posix()
+                for p in out.rglob("*") if p.is_file()} == expected
 
 
 class TestCli:

@@ -9,7 +9,7 @@ import pathlib
 import pytest
 
 import roughflow
-from roughflow import euler, flow, roughpath, sewing
+from roughflow import euler, flow, roughpath, sewing, variation
 
 SOURCE = pathlib.Path(roughflow.__file__).resolve().parent
 
@@ -64,6 +64,10 @@ PINNED_PARAMETERS = {
     roughpath.DriverPair: ("sigma_fields", "rough_path", "sign_convention"),
     sewing.sew: ("times", "germ", "zeta", "control", "localization",
                  "coherence_cap"),
+    variation.rough_gronwall_bound: ("G0", "omega1", "omega2", "omega3", "L", "C",
+                                     "k", "k_prime", "C_prime"),
+    variation.Control.check: ("self",),
+    variation.Control.superadditivity_defect: ("self",),
 }
 
 
