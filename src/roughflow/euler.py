@@ -701,13 +701,10 @@ def weak_remainder(trajectory: EulerTrajectory, *,
 
     # a-priori control: sup^{p/3} ω_A + sup^{2p/3} |t−s|^{p/3}(ω_A^{1/3}+ω_A^{2/3})
     kappa = max(1.0, trajectory.driver.sigma_norm(3)) ** 2
-    Ti, Tj = np.meshgrid(times, times, indexing="ij")
-    omega_a = np.zeros((n, n))
-    ii, jj = np.triu_indices(n, k=1)
-    omega_a[ii, jj] = kappa ** p * np.asarray(omega_z(times[ii], times[jj]))
+    omega_a = kappa ** p * omega_z.pair_table(times)
     # the particle sup is the exactly conserved ‖w‖_∞ (rearrangement invariance)
     sup_w = max(float(np.abs(weights).max()), 1e-300)
-    gap = np.triu(Tj - Ti, k=1)
+    gap = np.triu(times[None, :] - times[:, None], 1)
     bound = (sup_w ** (p / 3.0) * omega_a
              + sup_w ** (2 * p / 3.0) * gap ** (p / 3.0)
              * (omega_a ** (1.0 / 3.0) + omega_a ** (2.0 / 3.0)))
@@ -786,8 +783,7 @@ def solution_variation_diagnostic(trajectory: EulerTrajectory, *,
     loc = remainder.localization
     var_power = localized_p_variation(increments=D, p=p, loc=loc, times=times)
 
-    Ti, Tj = np.meshgrid(times, times, indexing="ij")
-    gap = np.triu(Tj - Ti, k=1)
+    gap = np.triu(times[None, :] - times[:, None], 1)
     sup_w = float(np.abs(trajectory[int(idx[0])].particles.weights).max())
     omega_nat = remainder.remainder_norms ** (p / 3.0)
     bound = (1.0 + sup_w) ** (2 * p) * (gap ** p + remainder.omega_a + omega_nat)

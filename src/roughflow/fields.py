@@ -23,6 +23,8 @@ The module provides
 from __future__ import annotations
 
 import math
+import numbers
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -719,7 +721,8 @@ def vorticity_from_modes(modes, resolution: int) -> VorticityGrid:
 
     Args:
         modes: iterable of ``(k1, k2, amplitude)`` or ``(k1, k2, amplitude,
-            phase)`` tuples (integer wavenumbers).
+            phase)`` rows of finite numbers with integer wavenumbers; any
+            other row is a :class:`GridError` naming it.
         resolution: grid size N; every mode must satisfy ``|k| < N/2`` so the
             synthesis is alias-free.
     """
@@ -727,16 +730,53 @@ def vorticity_from_modes(modes, resolution: int) -> VorticityGrid:
     x = nodes_1d(N)
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     out = np.zeros((N, N))
-    for mode in modes:
-        if len(mode) == 3:
-            k1, k2, amp = mode
-            phase = 0.0
-        else:
-            k1, k2, amp, phase = mode
+    for row, mode in enumerate(modes):
+        values = list(mode) if isinstance(mode, (list, tuple, np.ndarray)) else []
+        numeric = all(isinstance(v, numbers.Real) and math.isfinite(v) for v in values)
+        if len(values) not in (3, 4) or not numeric \
+                or not all(float(k).is_integer() for k in values[:2]):
+            raise GridError(f"mode row {row}: {mode!r} is not (k1, k2, amplitude"
+                            f"[, phase]) with finite numbers and integer wavenumbers")
+        k1, k2, amp, phase = values if len(values) == 4 else values + [0.0]
         if max(abs(int(k1)), abs(int(k2))) >= N // 2:
             raise GridError(f"mode ({k1}, {k2}) is not resolved at N = {N}")
         out += amp * np.cos(k1 * X1 + k2 * X2 + phase)
     return VorticityGrid(out)
+
+
+def _read_table(path, lines, columns: int, what: str) -> np.ndarray:
+    """The ``(n, columns)`` float rows of a comma-separated table.
+
+    ``lines`` are the table lines of ``path`` below its header; blank lines
+    and ``#`` comments are skipped.  No data rows, a cell that is not a number
+    or a row of another width is a :class:`GridError` naming ``path``.
+    """
+    rows = [ln for ln in lines if ln.split("#", 1)[0].strip()]
+    if not rows:
+        raise GridError(f"{what} {path} has no data rows")
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise GridError(f"malformed {what} {path}: {exc}") from None
+    if data.shape[1] != columns:
+        raise GridError(f"{what} {path} needs {columns} columns, found {data.shape[1]}")
+    return data
+
+
+def _read_header(fh, magic: bytes, layout: str, what: str) -> tuple:
+    """Check ``magic`` and unpack the little-endian ``struct`` header that
+    follows it, whose first field is format version 1; a foreign file, a short
+    read or another version is a :class:`GridError`."""
+    if fh.read(len(magic)) != magic:
+        raise GridError(f"not a {what} file")
+    size = struct.calcsize(layout)
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise GridError(f"truncated {what} header: {len(raw)} of {size} bytes")
+    header = struct.unpack(layout, raw)
+    if header[0] != 1:
+        raise GridError(f"unsupported {what} version {header[0]}")
+    return header
 
 
 _FIELD_MAGIC = b"RFGB"
@@ -752,9 +792,8 @@ def save_field_csv(grid: VorticityGrid, path: str) -> None:
 
 
 def load_field_csv(path: str) -> VorticityGrid:
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if raw.shape[1] != 3:
-        raise GridError(f"expected 3 columns (i, j, value), got {raw.shape[1]}")
+    with open(path) as fh:
+        raw = _read_table(path, fh.readlines()[1:], 3, "grid CSV")
     n_sq = raw.shape[0]
     N = int(round(math.sqrt(n_sq)))
     if N * N != n_sq:
@@ -774,7 +813,6 @@ def load_field_csv(path: str) -> VorticityGrid:
 
 def save_field_binary(grid: VorticityGrid, path: str) -> None:
     """Binary twin of the CSV snapshot: magic, version, N, float64 row-major."""
-    import struct
     with open(path, "wb") as fh:
         fh.write(_FIELD_MAGIC)
         fh.write(struct.pack("<II", 1, grid.N))
@@ -782,14 +820,8 @@ def save_field_binary(grid: VorticityGrid, path: str) -> None:
 
 
 def load_field_binary(path: str) -> VorticityGrid:
-    import struct
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _FIELD_MAGIC:
-            raise GridError("not a grid snapshot (bad magic)")
-        version, N = struct.unpack("<II", fh.read(8))
-        if version != 1:
-            raise GridError(f"unsupported grid snapshot version {version}")
+        _, N = _read_header(fh, _FIELD_MAGIC, "<II", "grid snapshot")
         payload = fh.read()
     values = np.frombuffer(payload, dtype="<f8")
     if values.size != N * N:

@@ -36,6 +36,8 @@ from .fields import (
     VorticityGrid,
     _interp_spectral_lattice,
     _nearest_image,
+    _read_header,
+    _read_table,
     _spectral_upsample,
     _torus_distances,
     biot_savart,
@@ -91,7 +93,8 @@ def _log_lipschitz_ratio(u_x, u_y, d) -> float:
 def _sample_norms(velocity, times) -> tuple[float, float]:
     """Sampled ``(sup |u|, log-Lipschitz ratio)`` of ``velocity(t, x)`` over
     512 fresh seeded pairs per time; half the partners sit at
-    ``x + N(0, 0.05²)``, the short separations where γ bites."""
+    ``x + N(0, 0.05²)``, the short separations where γ bites, and half are
+    uniform.  A non-finite sampled velocity makes both values NaN."""
     rng = np.random.default_rng(0)
     sup, lip = 0.0, 0.0
     for t in times:
@@ -100,6 +103,8 @@ def _sample_norms(velocity, times) -> tuple[float, float]:
         y[256:] = rng.uniform(0.0, TWO_PI, size=(256, 2))
         u_x = np.asarray(velocity(t, x), dtype=float)
         u_y = np.asarray(velocity(t, _wrap(y)), dtype=float)
+        if not (np.isfinite(u_x).all() and np.isfinite(u_y).all()):
+            return math.nan, math.nan
         sup = max(sup, float(np.abs(u_x).max()), float(np.abs(u_y).max()))
         lip = max(lip, _log_lipschitz_ratio(u_x, u_y, _torus_distances(x, y)))
     return sup, lip
@@ -326,12 +331,8 @@ def load_particles_csv(path: str) -> ParticleFlow:
     the labels (ids preserve lattice order, so callers that know the original
     layout can rebuild them).
     """
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise GridError(f"malformed particle CSV: {exc}") from exc
-    if data.shape[1] != 5:
-        raise GridError(f"particle CSV needs 5 columns, found {data.shape[1]}")
+    with open(path) as fh:
+        data = _read_table(path, fh.readlines()[1:], 5, "particle CSV")
     if not np.array_equal(data[:, 1], np.arange(data.shape[0])):
         raise GridError("particle ids must be 0..n-1 in order")
     pos = data[:, 2:4]
@@ -339,7 +340,6 @@ def load_particles_csv(path: str) -> ParticleFlow:
 
 
 _BINARY_MAGIC = b"RFPB"
-_BINARY_VERSION = 1
 
 
 def save_particles_binary(flow: ParticleFlow, path: str) -> None:
@@ -347,7 +347,7 @@ def save_particles_binary(flow: ParticleFlow, path: str) -> None:
     then ``n`` float64 records ``(x1, x2, weight)``."""
     with open(path, "wb") as fh:
         fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<IQdI", _BINARY_VERSION, flow.n_particles,
+        fh.write(struct.pack("<IQdI", 1, flow.n_particles,
                              flow.time, 3))
         rec = np.column_stack([flow.positions, flow.weights]).astype("<f8")
         fh.write(rec.tobytes())
@@ -355,12 +355,10 @@ def save_particles_binary(flow: ParticleFlow, path: str) -> None:
 
 def load_particles_binary(path: str) -> ParticleFlow:
     with open(path, "rb") as fh:
-        if fh.read(4) != _BINARY_MAGIC:
-            raise GridError("not a particle snapshot file")
-        version, n, time, width = struct.unpack("<IQdI", fh.read(24))
-        if version != _BINARY_VERSION or width != 3:
-            raise GridError(f"unsupported snapshot layout (version {version}, "
-                            f"width {width})")
+        _, n, time, width = _read_header(fh, _BINARY_MAGIC, "<IQdI",
+                                         "particle snapshot")
+        if width != 3:
+            raise GridError(f"unsupported particle snapshot record width {width}")
         rec = np.frombuffer(fh.read(), dtype="<f8")
     if rec.size != n * 3:
         raise GridError(f"truncated snapshot: expected {n * 3} floats, "
@@ -411,9 +409,12 @@ class FlowProblem:
     def check(self):
         """Verify the drift contract by sampling.
 
-        Confirms the sup norm is finite and honest, and that the sampled
-        log-Lipschitz ratio ``|u(t,x)−u(t,y)|/γ(d)`` over 128 pairs at
-        separations of about 0.1 stays within 1.05 times the declared
+        Draws the pairs of :func:`_sample_norms` (512 per time, half at
+        ``x + N(0, 0.05²)`` and half uniform) at three times spanning the
+        step grid.  Confirms the velocities are finite, that their sup stays
+        within the declared sup norm (times the drift's interpolation
+        overshoot), and that the sampled log-Lipschitz ratio
+        ``|u(t,x)−u(t,y)|/γ(d)`` stays within 1.05 times the declared
         constant.  A :class:`GridDrift` declares no constant; its measured one
         (:meth:`GridDrift.measure_log_lipschitz`) is reported, and only its
         sup norm is checked.  Raises ``HypothesisError`` otherwise.
@@ -421,31 +422,21 @@ class FlowProblem:
         drift = self.drift
         if not np.isfinite(drift.sup_norm):
             raise HypothesisError("drift sup norm must be finite")
-        # a grid drift's constant is its own measurement: nothing to verify
-        measured = isinstance(drift, GridDrift)
         declared = drift.log_lipschitz
         if declared is None:
             declared = drift.measure_log_lipschitz()
-        overshoot = getattr(drift, "sup_overshoot", 1.0)
-        sup_allowed = drift.sup_norm * overshoot * (1 + 1e-9) + 1e-12
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0.0, TWO_PI, size=(128, 2))
-        y = _wrap(x + rng.normal(scale=0.1, size=x.shape))
-        d = _torus_distances(x, y)
-        for t in np.linspace(self.step_times[0], self.step_times[-1], 3):
-            u = drift.velocity(t, x)
-            if not np.all(np.isfinite(u)):
-                raise HypothesisError("drift produced non-finite velocities")
-            # componentwise max, matching the C^0 convention of the catalog
-            if float(np.abs(u).max()) > sup_allowed:
-                raise HypothesisError("drift exceeds its declared sup norm")
-            if measured:
-                continue
-            ratio = _log_lipschitz_ratio(u, drift.velocity(t, y), d)
-            if ratio > declared * 1.05 + 1e-12:
-                raise HypothesisError(
-                    f"drift violates its log-Lipschitz declaration: sampled "
-                    f"ratio {ratio:.3g} > declared {declared:.3g}")
+        sup, ratio = _sample_norms(drift.velocity, np.linspace(
+            self.step_times[0], self.step_times[-1], 3))
+        if not np.isfinite(sup):
+            raise HypothesisError("drift produced non-finite velocities")
+        # componentwise max, matching the C^0 convention of the catalog
+        if sup > drift.sup_norm * drift.sup_overshoot * (1 + 1e-9) + 1e-12:
+            raise HypothesisError("drift exceeds its declared sup norm")
+        # a grid drift's constant is its own measurement: nothing to verify
+        if not isinstance(drift, GridDrift) and ratio > declared * 1.05 + 1e-12:
+            raise HypothesisError(
+                f"drift violates its log-Lipschitz declaration: sampled "
+                f"ratio {ratio:.3g} > declared {declared:.3g}")
         return {"sup_norm": drift.sup_norm, "log_lipschitz": declared}
 
 
@@ -653,10 +644,15 @@ class InverseFlowResult:
     composition_defect_max: float
 
 
-def backward_problem(problem: FlowProblem, t: float | None = None,
-                     start: ParticleFlow | None = None) -> FlowProblem:
+def backward_problem(problem: FlowProblem, t: float | None = None) -> FlowProblem:
     """The time-reversed problem on ``[0, t−t₀]``: drift ``−u(t−s, ·)`` and the
-    reversed driver (same sign convention); solving it forward yields φ_t⁻¹."""
+    reversed driver (same sign convention), started from ``problem.initial``;
+    solving it forward yields φ_t⁻¹.
+
+    The backward drift is the same field reversed in time, so it carries the
+    forward drift's sup norm, overshoot and log-Lipschitz constant (for a
+    :class:`GridDrift`, the one :meth:`FlowProblem.check` measured).
+    """
     st = problem.step_times
     t = float(st[-1]) if t is None else float(t)
     idx = int(locate_nodes(st, [t])[0])
@@ -667,21 +663,17 @@ def backward_problem(problem: FlowProblem, t: float | None = None,
     def bwd_velocity(s, positions):
         return -fwd.velocity(t - s, positions)
 
-    lip = fwd.log_lipschitz
-    if lip is None and isinstance(fwd, GridDrift):
-        lip = fwd.measure_log_lipschitz()
     drift = CallableDrift(bwd_velocity, sup_norm=fwd.sup_norm,
-                          log_lipschitz=lip,
+                          log_lipschitz=fwd.log_lipschitz,
                           time_span=(0.0, t - float(st[0])))
-    drift.sup_overshoot = getattr(fwd, "sup_overshoot", 1.0)
+    drift.sup_overshoot = fwd.sup_overshoot
     driver = DriverPair(problem.driver.sigma_fields,
                         reverse_rough_path(problem.driver.rough_path, t),
                         sign_convention=problem.driver.sign_convention)
-    back_times = t - st[idx::-1]
-    start = problem.initial if start is None else start
+    start = problem.initial
     init = ParticleFlow(start.labels, start.positions, start.weights,
                         direction="backward", time=0.0)
-    return FlowProblem(drift, driver, init, back_times,
+    return FlowProblem(drift, driver, init, t - st[idx::-1],
                        q_exponent=problem.q_exponent)
 
 
@@ -690,14 +682,18 @@ def solve_inverse_flow(problem: FlowProblem, t: float | None = None
     """Solve backward to get ``φ_t⁻¹`` on the initial particles.
 
     ``t`` must be a step node and a node of the driver grid (the reversal
-    pivots there).  The backward problem's drift contract is checked.  The
-    forward flow is also run and pushed through the backward one, reporting
-    the torus distance ``φ_t⁻¹(φ_t(x)) − x`` over the ensemble.
+    pivots there).  The forward drift contract is checked once
+    (:meth:`FlowProblem.check` over the whole step grid); the backward drift
+    is the same field reversed in time, so the backward solves skip the
+    check.  The forward flow is also run and pushed through the same
+    backward problem, reporting the torus distance ``φ_t⁻¹(φ_t(x)) − x``
+    over the ensemble.
     """
+    problem.check()
     st = problem.step_times
     t_val = float(st[-1]) if t is None else float(t)
     bwd = backward_problem(problem, t_val)
-    inverse = solve_flow(bwd).final
+    inverse = solve_flow(bwd, check=False).final
     inverse = ParticleFlow(problem.initial.positions, inverse.positions,
                            problem.initial.weights, direction="backward",
                            time=t_val)
@@ -705,8 +701,8 @@ def solve_inverse_flow(problem: FlowProblem, t: float | None = None
     fwd_problem = FlowProblem(problem.drift, problem.driver, problem.initial,
                               st[:idx + 1], q_exponent=problem.q_exponent)
     forward = solve_flow(fwd_problem, check=False).final
-    round_trip = solve_flow(backward_problem(problem, t_val, start=forward),
-                            check=False).final
+    bwd.initial = bwd.initial.with_positions(forward.positions, time=0.0)
+    round_trip = solve_flow(bwd, check=False).final
     defect = round_trip.displacement_from(problem.initial.positions)
     return InverseFlowResult(inverse, float(defect.mean()), float(defect.max()))
 

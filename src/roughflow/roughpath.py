@@ -28,13 +28,13 @@ other grid is resampled once first.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError, HypothesisError
+from .fields import _read_table
 from .variation import (Control, _all_windows_dp, _as_times, _norms_from_increments,
                         _time_tol, locate_nodes)
 
@@ -466,16 +466,11 @@ def load_rough_path_csv(path: str) -> RoughPath:
             except ValueError:
                 raise GridError(f"malformed rough-path CSV comment: p_exponent="
                                 f"{field_text.strip()!r} is not a number") from None
-    header = lines.pop(0).split(",")
+    header = lines.pop(0).split(",") if lines else []
     M = sum(1 for h in header if h.startswith("Z_"))
     if M == 0 or len(header) != 1 + M + M * M:
         raise GridError(f"malformed rough-path CSV header: {header!r}")
-    try:
-        data = np.loadtxt(io.StringIO("\n".join(lines)), delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise GridError(f"malformed rough-path CSV: {exc}") from exc
-    if data.shape[1] != len(header):
-        raise GridError("rough-path CSV rows do not match the header width")
+    data = _read_table(path, lines, len(header), "rough-path CSV")
     if not np.all(np.isfinite(data)):
         raise GridError("rough-path CSV contains non-finite entries")
     times = data[:, 0]

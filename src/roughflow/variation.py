@@ -141,10 +141,9 @@ class Control:
     def pair_table(self, times=None) -> np.ndarray:
         """Dense table ``T[i, j] = ω(t_i, t_j)`` over ``times`` (upper triangle)."""
         t = self.times if times is None else _as_times(times)
-        S, T = np.meshgrid(t, t, indexing="ij")
         table = np.zeros((t.size, t.size))
-        iu = np.triu_indices(t.size, k=1)
-        table[iu] = np.asarray(self(S[iu], T[iu]), dtype=float)
+        i, j = np.triu_indices(t.size, k=1)
+        table[i, j] = np.asarray(self(t[i], t[j]), dtype=float)
         return table
 
     # -- algebra ------------------------------------------------------------

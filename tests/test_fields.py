@@ -38,6 +38,8 @@ from roughflow.fields import (
     velocity_divergence_defect,
     vorticity_from_modes,
 )
+from roughflow.flow import load_particles_binary, load_particles_csv
+from roughflow.roughpath import load_rough_path_csv
 
 from reference import fd_gradient, grid_l1, grid_w11, spectral_upsample_complex
 
@@ -505,3 +507,45 @@ class TestFieldSerialization:
         path.write_bytes(b"not a grid at all")
         with pytest.raises(GridError):
             load_field_binary(path)
+
+    def test_csv_rejects_non_numeric_cell(self, tmp_path):
+        # numpy's ValueError once escaped, so the CLI printed a traceback
+        path = tmp_path / "bad.csv"
+        path.write_text("i,j,value\n0,0,1.0\n0,1,abc\n1,0,1.0\n1,1,1.0\n")
+        with pytest.raises(GridError, match="malformed grid CSV"):
+            load_field_csv(path)
+
+    @pytest.mark.parametrize("load, header", [
+        (load_field_csv, "i,j,value"),
+        (load_particles_csv, "t,id,x1,x2,weight"),
+        (load_rough_path_csv, "# p_exponent=2.5\nt,Z_1,A_11"),
+    ], ids=["field", "particles", "rough_path"])
+    def test_csv_loaders_reject_header_only_files(self, tmp_path, load, header):
+        # once numpy's "input contained no data" warning and a column-count
+        # error that blamed the wrong thing
+        path = tmp_path / "empty.csv"
+        path.write_text(header + "\n")
+        with pytest.raises(GridError, match="empty.csv has no data rows"):
+            load(str(path))
+        path.write_text("")
+        with pytest.raises(GridError):
+            load(str(path))
+
+    @pytest.mark.parametrize("load, magic", [
+        (load_field_binary, b"RFGB"),
+        (load_particles_binary, b"RFPB"),
+    ], ids=["field", "particles"])
+    def test_binary_loaders_reject_truncated_headers(self, tmp_path, load, magic):
+        # a short header once raised struct.error
+        path = tmp_path / "short.bin"
+        path.write_bytes(magic + b"\x01\x00\x00")
+        with pytest.raises(GridError, match="truncated .* header: 3 of"):
+            load(str(path))
+
+    @pytest.mark.parametrize("row", [(1, 0), (1, 0, 1.0, 0.0, 2.0), (1.5, 0, 1.0),
+                                     ("1", 0, 1.0), (1, 0, float("nan")), 7],
+                             ids=["short", "long", "fractional_k", "string",
+                                  "nan", "scalar"])
+    def test_modes_reject_malformed_rows(self, row):
+        with pytest.raises(GridError, match="mode row 1"):
+            vorticity_from_modes([(1, 0, 1.0), row], 16)

@@ -484,6 +484,24 @@ class TestGuards:
         assert prob.check() == first
         assert first["log_lipschitz"] == drift.log_lipschitz
 
+    def test_nan_callable_drift_is_reported_not_estimated(self):
+        # NaN on part of the torus once fell out of the sampled max, leaving
+        # an estimate of sup_norm = log_lipschitz = 1e-12
+        def patchy(t, x):
+            return np.where(x[..., :1] < 1.0, np.nan, np.sin(x))
+
+        rp = brownian_driver(0, 8)
+        estimated = CallableDrift(patchy)
+        assert math.isnan(estimated.sup_norm)
+        assert math.isnan(estimated.log_lipschitz)
+        declared = CallableDrift(patchy, sup_norm=1.0, log_lipschitz=3.0)
+        for drift, match in ((estimated, "sup norm must be finite"),
+                             (declared, "non-finite velocities")):
+            prob = FlowProblem(drift, DriverPair(zero_sigma(), rp, 1),
+                               ParticleFlow.lattice(4), rp.times)
+            with pytest.raises(HypothesisError, match=match):
+                prob.check()
+
     def test_q_exponent_default(self):
         rp = brownian_driver(0, 8, p=2.5)
         prob = FlowProblem(None, DriverPair(zero_sigma(), rp, 1),
@@ -627,6 +645,38 @@ class TestInverseFlow:
         assert np.abs(res.flow.positions - expect).max() < 1e-13
         assert res.composition_defect_max < 1e-13
         assert res.flow.direction == "backward"
+
+    @pytest.mark.parametrize("modes", [((0, 6, 1.0),), ((3, 4, 1.0),)])
+    def test_inverse_of_grid_drift_checks_the_forward_contract(self, modes):
+        # the time-reversed copy was once held against the forward grid
+        # drift's measured constant and raised ("sampled ratio 0.375 >
+        # declared 0.297" and "0.383 > 0.318")
+        rp = brownian_driver(0, 8)
+        w0 = vorticity_from_modes(list(modes), 32)
+        drift = GridDrift(np.array([0.0]),
+                          [biot_savart(VorticityGrid(w0.values - w0.mean))])
+        prob = FlowProblem(drift, DriverPair(zero_sigma(), rp, 1),
+                           ParticleFlow.lattice(4), rp.times)
+        res = solve_inverse_flow(prob)
+        assert res.flow.direction == "backward"
+        assert res.composition_defect_max < 1e-5  # measured 4.4e-16, 1.0e-6
+
+    def test_one_forward_check_and_one_reversal_per_solve(self, monkeypatch):
+        # the backward copy of the drift is not checked again, and one
+        # backward problem serves the inverse and the round trip
+        import roughflow.flow
+        checked, reversals = [], []
+        check, reverse = FlowProblem.check, roughflow.flow.reverse_rough_path
+        monkeypatch.setattr(FlowProblem, "check",
+                            lambda self: checked.append(self) or check(self))
+        monkeypatch.setattr(roughflow.flow, "reverse_rough_path",
+                            lambda rp, t: reversals.append(t) or reverse(rp, t))
+        rp = brownian_driver(4, 8)
+        prob = FlowProblem(cellular_drift(), DriverPair(zero_sigma(), rp, 1),
+                           ParticleFlow.lattice(4), rp.times)
+        solve_inverse_flow(prob, t=0.5)
+        assert [c is prob for c in checked] == [True]
+        assert reversals == [0.5]
 
     def test_inverse_requires_positive_time(self):
         rp = brownian_driver(4, 8)

@@ -411,6 +411,26 @@ class TestCli:
         assert rc == 1
         assert "describes 'stability'" in capsys.readouterr().err
 
+    def test_malformed_w0_csv_exits_one(self, tmp_path, capsys):
+        # a non-numeric cell once escaped as numpy's ValueError (a traceback)
+        w0 = tmp_path / "w0.csv"
+        w0.write_text("i,j,value\n0,0,1.0\n0,1,oops\n")
+        config = smoke_config("steady_check", w0_modes=str(w0),
+                              output_dir=str(tmp_path / "out"))
+        rc = main(["steady_check", "--config", self.write_config(tmp_path, config)])
+        assert rc == 1
+        assert "roughflow: error: malformed grid CSV" in capsys.readouterr().err
+
+    def test_malformed_w0_mode_row_exits_one(self, tmp_path, capsys):
+        # a short row once escaped as "not enough values to unpack"
+        config = smoke_config("steady_check", w0_modes=((1, 0, 1.0), (1, 0)),
+                              output_dir=str(tmp_path / "out"))
+        with pytest.raises(GridError, match="mode row 1"):
+            run_experiment(config)
+        rc = main(["steady_check", "--config", self.write_config(tmp_path, config)])
+        assert rc == 1
+        assert "roughflow: error: mode row 1" in capsys.readouterr().err
+
     def test_out_flag_overrides_config_dir(self, tmp_path):
         config = smoke_config("steady_check",
                               tolerances={"n_steps": 4, "l1_tolerance": 0.1},

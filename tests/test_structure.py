@@ -33,9 +33,19 @@ def definitions(name):
 @pytest.mark.parametrize("name", ["TWO_PI", "_nearest_image", "_jsonable",
                                   "_partition_dp", "_admissible_mask",
                                   "_torus_distances", "_log_lipschitz_ratio",
-                                  "_fit_slope", "_time_tol"])
+                                  "_fit_slope", "_time_tol", "_read_table",
+                                  "_read_header"])
 def test_helper_is_defined_once(name):
     assert len(definitions(name)) == 1, definitions(name)
+
+
+def test_flow_draws_random_numbers_in_one_place():
+    # every drift-contract estimate and check samples through _sample_norms
+    tree = ast.parse((SOURCE / "flow.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None))
+             == "default_rng"]
+    assert len(calls) == 1
 
 
 # Every parameter of these entry points is set by some caller; an option
