@@ -631,14 +631,22 @@ def _interp_cubic(values, pts: np.ndarray, r: int) -> np.ndarray:
     """Periodic Catmull-Rom at ``pts`` of each ``(N, N)`` component in ``values``.
 
     ``values`` is a sequence of ``C`` grids and the result has shape
-    ``(C, n_pts)``.  The stencil (cell floor, weights and gather indices) is
-    built once and shared by every component; each component is summed in
-    the same order a single-component call would use.
+    ``(C, n_pts)``; ``pts`` lie in ``[0, 2π]``.  The stencil (cell floor,
+    weights and gather offsets) is built once and shared by every component;
+    each component is summed in the same order a single-component call would
+    use.
+
+    Each fine grid is wrap-padded once, one row and column before and three
+    after, so the 4×4 taps of a floor ``i0 ∈ [0, Nu]`` (``i0 = Nu`` when a
+    point rounds onto ``2π``) are plain offsets ``a·P + b`` from one flat base
+    index: no per-tap modulo.  The sums equal those of the modulo-indexed
+    gather bit for bit.
     """
     if r < 1:
         raise GridError("upsample factor must be a positive integer")
     fine = [_spectral_upsample(c, r) for c in values] if r > 1 else list(values)
     Nu = fine[0].shape[0]
+    P = Nu + 4
     g = pts * (Nu / TWO_PI)
     i0 = np.floor(g).astype(int)
     f = g - i0
@@ -655,15 +663,17 @@ def _interp_cubic(values, pts: np.ndarray, r: int) -> np.ndarray:
 
     w1 = weights(f[:, 0])
     w2 = weights(f[:, 1])
-    flats = [c.ravel() for c in fine]
+    flats = [np.pad(c, ((1, 3), (1, 3)), mode="wrap").ravel() for c in fine]
+    base = i0[:, 0] * P + i0[:, 1]
     out = np.zeros((len(flats), pts.shape[0]))
+    tmp = np.empty(pts.shape[0])
     for a in range(4):
-        base = ((i0[:, 0] + a - 1) % Nu) * Nu
         for b in range(4):
-            ind = base + (i0[:, 1] + b - 1) % Nu
             wab = w1[a] * w2[b]
             for k, flat in enumerate(flats):
-                out[k] += wab * flat[ind]
+                np.take(flat[a * P + b:], base, out=tmp, mode="clip")
+                tmp *= wab
+                out[k] += tmp
     return out
 
 

@@ -22,10 +22,14 @@ Increment inputs come in two forms:
 
 * ``values``: one-index samples ``g(t_0), …, g(t_n)`` with shape ``(n+1, ...)``
   (trailing axes are flattened and measured in the Euclidean norm), for which
-  increments are ``g(t_j) − g(t_i)``;
+  increments are ``g(t_j) − g(t_i)``.  The dynamic program reads one column
+  ``[:j, j]`` of cell values per end node, so this form is streamed: each
+  column (and, under a localization, its admissibility) is built when the
+  loop reaches it, and memory is O(n·d) for ``d`` flattened trailing entries;
 * ``increments``: a two-index array of shape ``(n+1, n+1, ...)`` whose
   ``[i, j]`` entry is ``g_{t_i, t_j}`` (only ``i < j`` is read) — used for
-  genuinely two-index quantities such as remainders.
+  genuinely two-index quantities such as remainders.  Its dense norm table
+  is built once, O(n²) memory.
 """
 
 from __future__ import annotations
@@ -271,11 +275,20 @@ def _default_localization(omega_z: Control, times: np.ndarray, p: float,
 # increment preparation and the partition dynamic program
 # ---------------------------------------------------------------------------
 
-def _norms_from_values(values) -> np.ndarray:
+def _sample_rows(values) -> np.ndarray:
+    """One-index samples as a float ``(n+1, d)`` array (trailing axes flattened).
+
+    Raises:
+        GridError: when there is no sample.
+    """
     v = np.asarray(values, dtype=float)
     if v.ndim == 0 or v.shape[0] < 1:
         raise GridError("p-variation of an empty path is undefined")
-    v = v.reshape(v.shape[0], -1)
+    return v.reshape(v.shape[0], -1)
+
+
+def _norms_from_values(values) -> np.ndarray:
+    v = _sample_rows(values)
     diff = v[None, :, :] - v[:, None, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
@@ -288,14 +301,54 @@ def _norms_from_increments(increments) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", g, g))
 
 
-def _increment_norms(values=None, increments=None) -> np.ndarray:
+class _Columns:
+    """Stands in for a dense ``(m, m)`` table where only ``[:j, j]`` is read.
+
+    :func:`_partition_dp` reads one column per end node ``j``; this source
+    computes it on demand as ``column(rows, j)``, so no table is stored.
+    """
+
+    def __init__(self, m: int, column: Callable):
+        self.shape = (m, m)
+        self._column = column
+
+    def __getitem__(self, key):
+        rows, j = key
+        return self._column(rows, j)
+
+
+def _cell_powers(values, increments, p: float):
+    """The ``|g_{t_i, t_j}|^p`` table that :func:`_partition_dp` reads.
+
+    ``values`` gives a column source: column ``j`` is
+    ``‖g(t_j) − g(t_i)‖^p`` over ``i < j``, bitwise equal to the same column
+    of ``_norms_from_values(values) ** p``, in O(n·d) memory.  ``increments``
+    gives the dense O(n²) table of its norms.
+
+    Raises:
+        GridError: not exactly one input; an empty path; malformed
+            increments; a sample row that is not finite (the first is named).
+    """
     if (values is None) == (increments is None):
         raise GridError("pass exactly one of `values` (one-index) or `increments` (two-index)")
-    return _norms_from_values(values) if values is not None else _norms_from_increments(increments)
+    if increments is not None:
+        return _norms_from_increments(increments) ** p
+    v = _sample_rows(values)
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise GridError(f"sample row {row} is not finite")
+
+    def column(rows, j):
+        d = v[j] - v[rows]
+        return np.sqrt(np.einsum("ik,ik->i", d, d)) ** p
+
+    return _Columns(v.shape[0], column)
 
 
-def _admissible_mask(loc: Localization | None, t: np.ndarray, m: int) -> np.ndarray | None:
-    """Admissibility table of ``loc`` on the ``m``-sample grid ``t`` (``None``
+def _admissible_mask(loc: Localization | None, t: np.ndarray, m: int) -> _Columns | None:
+    """Admissibility of ``loc`` on the ``m``-sample grid ``t`` as a column
+    source, ``[:j, j]`` being ``loc.admissible(t[:j], t[j])`` (``None``
     without a localization).
 
     Raises:
@@ -308,19 +361,22 @@ def _admissible_mask(loc: Localization | None, t: np.ndarray, m: int) -> np.ndar
         raise GridError(f"grid has {t.size} nodes but the path has {m} samples")
     if loc is None:
         return None
-    mask = loc.mask(t)
-    step_ok = np.diagonal(mask, offset=1)
+    step_ok = loc.admissible(t[:-1], t[1:])
     if not np.all(step_ok):
         i = int(np.argmin(step_ok))
         raise InfeasibleLocalizationError(
             f"no admissible partition: consecutive step ({t[i]:g}, {t[i + 1]:g}) has "
             f"control {float(loc.base_control(t[i], t[i + 1])):.6g} > threshold "
             f"{loc.threshold:.6g}", step=i)
-    return mask
+    return _Columns(m, lambda rows, j: loc.admissible(t[rows], t[j]))
 
 
 def _partition_dp(norms_pow: np.ndarray, mask: np.ndarray | None, starts: int):
     """Maximal (masked) partition sums from each of the first ``starts`` nodes.
+
+    ``norms_pow`` and ``mask`` are read only through ``.shape`` and one
+    column ``[:j, j]`` per end node ``j``, so a column source such as
+    :class:`_Columns` serves as well as a dense ``(m, m)`` table.
 
     ``V[i, j]`` is the best sum of ``norms_pow`` over partitions of the
     window ``[t_i, t_j]`` whose cells are all admissible (``-inf`` when none
@@ -365,19 +421,24 @@ def p_variation(values=None, p: float = 2.0, *, increments=None,
     Returns:
         ``‖g‖_p^p`` (float), or ``(value, partition_indices)``.
 
+    Memory is O(n·d) for ``values`` with ``d`` entries per sample (the cell
+    values are streamed column by column) and O(n²) for ``increments``.
+
     Raises:
-        GridError: empty path or malformed increments.
+        GridError: empty path, malformed increments, or a non-finite sample
+            row in ``values``.
         HypothesisError: ``p < 1``.
     """
     if p < 1:
         raise HypothesisError(f"p-variation requires p >= 1, got p={p}")
-    norms = _increment_norms(values, increments)
-    if norms.shape[0] == 1:
+    cells = _cell_powers(values, increments, p)
+    m = cells.shape[0]
+    if m == 1:
         return (0.0, [0]) if return_partition else 0.0
-    V, pred = _partition_dp(norms ** p, None, 1)
+    V, pred = _partition_dp(cells, None, 1)
     value = float(V[0, -1])
     if return_partition:
-        return value, _walk_partition(pred[0], norms.shape[0] - 1)
+        return value, _walk_partition(pred[0], m - 1)
     return value
 
 
@@ -390,7 +451,13 @@ def localized_p_variation(values=None, p: float = 2.0, loc: Localization | None 
     positive exponent is allowed — localized variation is routinely used with
     exponents below one (e.g. ``p/3`` for remainder scales).
 
+    Memory is as for :func:`p_variation`: O(n·d) for ``values``, whose cell
+    values and admissibility are both streamed column by column, and O(n²)
+    for ``increments``.
+
     Raises:
+        GridError: as for :func:`p_variation`, or a grid that does not have
+            one node per sample.
         InfeasibleLocalizationError: when some consecutive step already
             violates the threshold, so no admissible partition exists.  (By
             superadditivity this is the only way feasibility can fail.)
@@ -399,13 +466,13 @@ def localized_p_variation(values=None, p: float = 2.0, loc: Localization | None 
         raise HypothesisError("localized_p_variation requires a Localization")
     if p <= 0:
         raise HypothesisError(f"localized p-variation requires p > 0, got p={p}")
-    norms = _increment_norms(values, increments)
-    m = norms.shape[0]
+    cells = _cell_powers(values, increments, p)
+    m = cells.shape[0]
     t = _as_times(times) if times is not None else loc.base_control.times
     mask = _admissible_mask(loc, t, m)
     if m == 1:
         return (0.0, [0]) if return_partition else 0.0
-    V, pred = _partition_dp(norms ** p, mask, 1)
+    V, pred = _partition_dp(cells, mask, 1)
     value = float(V[0, -1])
     if return_partition:
         return value, _walk_partition(pred[0], m - 1)
@@ -433,10 +500,14 @@ def best_control(values=None, p: float = 2.0, loc: Localization | None = None, *
 
     Cost is O(m³) arithmetic in the number of grid nodes, done as one
     vectorized DP pass of ``m`` steps over all start rows — intended for
-    diagnostic grids.
+    diagnostic grids.  Memory is the O(m²) table the control keeps (and, for
+    ``increments``, their O(m²) norm table); ``values`` and the localization
+    are streamed column by column as in :func:`p_variation`.
+
+    Raises:
+        GridError: as for :func:`localized_p_variation`, or no ``times``
+            and no localization.
     """
-    norms = _increment_norms(values, increments)
-    m = norms.shape[0]
     if times is not None:
         t = _as_times(times)
     elif loc is not None:
@@ -447,8 +518,10 @@ def best_control(values=None, p: float = 2.0, loc: Localization | None = None, *
         raise HypothesisError(f"best control requires p > 0, got p={p}")
     if loc is None and p < 1:
         raise HypothesisError(f"unlocalized best control requires p >= 1, got p={p}")
+    cells = _cell_powers(values, increments, p)
+    m = cells.shape[0]
     mask = _admissible_mask(loc, t, m)
-    table = _all_windows_dp(norms ** p, mask)
+    table = _all_windows_dp(cells, mask)
     tag = f"best-control(p={p:g}" + (f", L={loc.threshold:g})" if loc is not None else ")")
     return Control.from_table(t, table, kind=tag)
 

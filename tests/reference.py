@@ -225,6 +225,47 @@ def spectral_upsample_complex(values, r):
     return np.fft.ifft2(Wf).real * r * r
 
 
+def cubic_by_modulo_gather(values, pts, r):
+    """Periodic Catmull-Rom at ``pts`` of each grid in ``values`` through
+    modulo-indexed gathers, shape ``(C, n_pts)``.
+
+    The gather the library used before its padded-grid kernel: every tap's
+    row and column are reduced modulo the fine side, and taps are summed
+    a → b → component as ``out[k] += w_a w_b · f[ind]``.  The fine grids
+    come from the library's own upsampler, so only the gather differs.
+    """
+    from roughflow.fields import TWO_PI, _spectral_upsample
+
+    fine = [_spectral_upsample(c, r) for c in values] if r > 1 else list(values)
+    Nu = fine[0].shape[0]
+    g = pts * (Nu / TWO_PI)
+    i0 = np.floor(g).astype(int)
+    f = g - i0
+
+    def weights(fr):
+        fr2 = fr * fr
+        fr3 = fr2 * fr
+        return np.stack([
+            0.5 * (-fr3 + 2 * fr2 - fr),
+            0.5 * (3 * fr3 - 5 * fr2 + 2),
+            0.5 * (-3 * fr3 + 4 * fr2 + fr),
+            0.5 * (fr3 - fr2),
+        ])
+
+    w1 = weights(f[:, 0])
+    w2 = weights(f[:, 1])
+    flats = [c.ravel() for c in fine]
+    out = np.zeros((len(flats), pts.shape[0]))
+    for a in range(4):
+        base = ((i0[:, 0] + a - 1) % Nu) * Nu
+        for b in range(4):
+            ind = base + (i0[:, 1] + b - 1) % Nu
+            wab = w1[a] * w2[b]
+            for k, flat in enumerate(flats):
+                out[k] += wab * flat[ind]
+    return out
+
+
 def second_level_by_einsum(sigmas, positions, A):
     """The Davie step's second-level term ``Σ_{i,j,b} 𝕫^{ij} σ_i^b ∂_b σ_j^a``
     as one three-operand contraction over stacked values and gradients."""

@@ -19,6 +19,7 @@ from roughflow.fields import (
     GradPerpField,
     ShearField,
     VorticityGrid,
+    _interp_cubic,
     _spectral_upsample,
     biot_savart,
     curl,
@@ -41,7 +42,13 @@ from roughflow.fields import (
 from roughflow.flow import load_particles_binary, load_particles_csv
 from roughflow.roughpath import load_rough_path_csv
 
-from reference import fd_gradient, grid_l1, grid_w11, spectral_upsample_complex
+from reference import (
+    cubic_by_modulo_gather,
+    fd_gradient,
+    grid_l1,
+    grid_w11,
+    spectral_upsample_complex,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -408,6 +415,25 @@ class TestInterpolate:
         assert fine.shape == (N * r, N * r)
         assert np.abs(fine - expect).max() <= 1e-14 * np.abs(expect).max()
         assert np.allclose(fine[::r, ::r], values, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("N", [8, 16, 64])
+    @pytest.mark.parametrize("r", [1, 4])
+    def test_cubic_gather_matches_modulo_reference_bitwise(self, N, r):
+        rng = np.random.default_rng(N + r)
+        values = [rng.standard_normal((N, N)) for _ in range(2)]
+        h = TWO_PI / (N * r)
+        # ends of the period, cell edges and points just either side of them
+        special = np.array([0.0, h, 3 * h, np.nextafter(h, 0.0), np.nextafter(h, 1.0),
+                            np.nextafter(TWO_PI, 0.0), TWO_PI - h / 2])
+        edges = np.stack(np.meshgrid(special, special), axis=-1).reshape(-1, 2)
+        pts = np.vstack([random_points(N * r, 500), edges,
+                         np.array([[-1e-20, 1.0], [1.0, -1e-300]]) % TWO_PI])
+        g = pts * ((N * r) / TWO_PI)
+        assert np.floor(g).max() == N * r  # some point rounds onto 2π
+        got = _interp_cubic(values, pts, r)
+        want = cubic_by_modulo_gather(values, pts, r)
+        assert got.shape == (2, pts.shape[0])
+        assert got.tobytes() == want.tobytes()
 
 
 def particle_lattice(refinement, N, offset=0.0):

@@ -505,3 +505,12 @@ class TestCli:
         path.write_text("t,z\n0,1\n0.5,2,3\n")
         assert main(["pvar", str(path)]) == 1
         assert "column counts" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv_tail", [[], ["--L", "1.0"]])
+    def test_pvar_non_finite_cell_exits_one(self, tmp_path, capsys, argv_tail):
+        path = tmp_path / "gap.csv"
+        path.write_text("t,z\n0,0\n0.25,nan\n0.5,1\n0.75,0.5\n")
+        assert main(["pvar", str(path)] + argv_tail) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sample row 1 is not finite" in captured.err

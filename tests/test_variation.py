@@ -1,6 +1,7 @@
 """Tests for controls, p-variation dynamic programs, and the Gronwall bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,9 @@ from roughflow import (
 )
 from roughflow.variation import (
     _all_windows_dp,
+    _cell_powers,
     _norms_from_increments,
+    _norms_from_values,
     _partition_dp,
     _walk_partition,
 )
@@ -293,6 +296,122 @@ def test_all_windows_dp_matches_per_row_reference(seed, m, mask_kind, p):
     value, nodes = localized_p_variation(increments=increments, p=p, loc=loc,
                                          return_partition=True)
     assert (value, nodes) == (V[0, -1], _walk_partition(pred[0], m - 1))
+
+
+# ---------------------------------------------------------------------------
+# streamed values path: equal to the dense tables, memory linear in the rows
+# ---------------------------------------------------------------------------
+
+def _random_walk(rows, d, seed=5):
+    rng = np.random.default_rng(seed)
+    path = rng.standard_normal((rows, d)).cumsum(axis=0) / math.sqrt(rows)
+    return path[:, 0] if d == 1 else path
+
+
+def _streaming_loc(times, kind):
+    if kind == "interval_power":
+        return Localization(Control.interval_power(times, 1.0), 0.2)
+    table = np.triu(times[None, :] - times[:, None], 1) ** 1.5
+    return Localization(Control.from_table(times, table), 0.05)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("p", [0.7, 2.0, 2.5])
+def test_streamed_columns_equal_dense_table_bitwise(d, p):
+    values = _random_walk(40, d)
+    dense = _norms_from_values(values) ** p
+    cells = _cell_powers(values, None, p)
+    assert cells.shape == dense.shape
+    for j in range(1, 40):
+        assert cells[:j, j].tobytes() == dense[:j, j].tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("p", [0.7, 2.0, 2.5])
+@pytest.mark.parametrize("kind", ["interval_power", "from_table"])
+def test_streamed_localized_path_equals_dense_path(d, p, kind):
+    values = _random_walk(33, d)
+    times = np.linspace(0.0, 1.0, 33)
+    loc = _streaming_loc(times, kind)
+    dense = _norms_from_values(values) ** p
+    mask = loc.mask(times)
+    assert 32 < np.triu(mask, 1).sum() < 33 * 32 // 2  # some cells are cut
+
+    V, pred = _partition_dp(dense, mask, 1)
+    value, nodes = localized_p_variation(values, p, loc, return_partition=True)
+    assert (value, nodes) == (V[0, -1], _walk_partition(pred[0], 32))
+    assert best_control(values, p, loc)._table.tobytes() \
+        == _all_windows_dp(dense, mask).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("p", [2.0, 2.5])
+def test_streamed_plain_path_equals_dense_path(d, p):
+    values = _random_walk(33, d)
+    times = np.linspace(0.0, 1.0, 33)
+    dense = _norms_from_values(values) ** p
+
+    V, pred = _partition_dp(dense, None, 1)
+    value, nodes = p_variation(values, p, return_partition=True)
+    assert (value, nodes) == (V[0, -1], _walk_partition(pred[0], 32))
+    assert best_control(values, p, times=times)._table.tobytes() \
+        == _all_windows_dp(dense, None).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("p, localized", [(0.7, True), (2.0, False), (2.0, True),
+                                          (2.5, False), (2.5, True)])
+def test_streamed_path_matches_enumeration(d, p, localized):
+    values = _random_walk(12, d, seed=int(10 * p) + d)
+    times = np.linspace(0.0, 1.0, 12)
+    # below three entries the reference norms are the library's bit for bit;
+    # above, the enumeration gets the dense library norms and checks the search
+    norms = increment_norms(values=values) if d < 3 else _norms_from_values(values)
+    if localized:
+        loc = _interval_loc(times, exponent=1.0, L=0.35)
+        got = localized_p_variation(values, p, loc, return_partition=True)
+        want = pvar_by_enumeration(norms, p, mask=loc.mask(times))
+    else:
+        got = p_variation(values, p, return_partition=True)
+        want = pvar_by_enumeration(norms, p)
+    assert got == want
+
+
+@pytest.mark.parametrize("localized", [False, True])
+def test_values_path_memory_is_linear_in_rows(localized):
+    n = 4000
+    values = _random_walk(n, 1, seed=0)
+    loc = _interval_loc(np.linspace(0.0, 1.0, n), exponent=1.0, L=0.05)
+    tracemalloc.start()
+    try:
+        if localized:
+            localized_p_variation(values, 2.5, loc, return_partition=True)
+        else:
+            p_variation(values, 2.5, return_partition=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one dense (n+1)² float table alone would be 128 MB
+    assert peak < 8 * 2 ** 20
+
+
+NON_FINITE_CALLS = {
+    "p_variation": lambda v, t: p_variation(v, 2.0, return_partition=True),
+    "localized_p_variation": lambda v, t: localized_p_variation(
+        v, 2.0, _interval_loc(t, exponent=1.0, L=1.0), return_partition=True),
+    "best_control": lambda v, t: best_control(v, 2.0, times=t),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+@pytest.mark.parametrize("values, row", [
+    ([0.0, math.nan, 1.0, 0.5], 1),
+    ([[0.0, 0.0], [1.0, 2.0], [0.5, math.inf], [-math.inf, 1.0]], 2),
+])
+def test_non_finite_sample_is_a_grid_error(call, values, row):
+    times = np.linspace(0.0, 1.0, len(values))
+    with pytest.raises(GridError, match=rf"sample row {row} is not finite"):
+        NON_FINITE_CALLS[call](values, times)
 
 
 # ---------------------------------------------------------------------------
