@@ -8,7 +8,6 @@ Layers, bottom up:
   fBm sampling, reversal, CSV round trips) and driver bundles;
 * :mod:`roughflow.fields` — periodic vorticity grids, Biot-Savart, mollifiers,
   interpolation/deposition, divergence-free field catalog;
-* :mod:`roughflow.sewing` — controlled paths, the sewing map, rough integrals;
 * :mod:`roughflow.flow` — Davie-scheme particle flows (forward/inverse/
   vorticity-coupled);
 * :mod:`roughflow.euler` — the rough 2-d Euler particle solver, viscous
@@ -20,7 +19,6 @@ Layers, bottom up:
 __version__ = "0.1.0"
 
 from .errors import (
-    CoherenceError,
     ControlError,
     GridError,
     HypothesisError,
@@ -33,7 +31,6 @@ from .errors import (
 from .variation import (
     Control,
     Localization,
-    best_control,
     localized_p_variation,
     p_variation,
     rough_gronwall_bound,
@@ -41,7 +38,6 @@ from .variation import (
 from .roughpath import (
     DriverPair,
     RoughPath,
-    chen_defect,
     difference_variation_control,
     lift_piecewise_linear,
     load_rough_path_csv,
@@ -49,12 +45,6 @@ from .roughpath import (
     sample_fbm,
     save_rough_path_csv,
     variation_control,
-)
-from .sewing import (
-    ControlledPath,
-    integral_difference_bound,
-    rough_integral,
-    sew,
 )
 from .fields import (
     ConstantField,
@@ -85,7 +75,6 @@ from .flow import (
     GridDrift,
     InverseFlowResult,
     LAGRANGIAN_STABILITY_CONSTANT,
-    OccupancyResult,
     ParticleFlow,
     SteadyDrift,
     ZeroDrift,
@@ -94,7 +83,6 @@ from .flow import (
     lagrangian_stability_bound,
     load_particles_binary,
     load_particles_csv,
-    occupancy_statistic,
     save_particles_binary,
     save_particles_csv,
     solve_flow,
@@ -131,14 +119,12 @@ from .harness import (
 __all__ = [
     "__version__",
     "RoughFlowError", "GridError", "ControlError", "InfeasibleLocalizationError",
-    "HypothesisError", "CoherenceError", "StepSizeError", "UndersamplingError",
-    "QuadratureError",
+    "HypothesisError", "StepSizeError", "UndersamplingError", "QuadratureError",
     "Control", "Localization", "p_variation", "localized_p_variation",
-    "best_control", "rough_gronwall_bound",
-    "RoughPath", "DriverPair", "lift_piecewise_linear", "chen_defect",
-    "reverse_rough_path", "sample_fbm", "variation_control",
-    "difference_variation_control", "save_rough_path_csv", "load_rough_path_csv",
-    "ControlledPath", "sew", "rough_integral", "integral_difference_bound",
+    "rough_gronwall_bound",
+    "RoughPath", "DriverPair", "lift_piecewise_linear", "reverse_rough_path",
+    "sample_fbm", "variation_control", "difference_variation_control",
+    "save_rough_path_csv", "load_rough_path_csv",
     "VectorField", "ConstantField", "ShearField", "GradPerpField", "SumField",
     "field_from_spec", "VorticityGrid", "biot_savart", "curl", "deposit",
     "gamma", "interpolate", "interpolate_velocity", "kernel_log_lipschitz_check",
@@ -147,8 +133,8 @@ __all__ = [
     "ZeroDrift", "SteadyDrift", "CallableDrift", "GridDrift", "as_drift",
     "ParticleFlow", "FlowProblem", "FlowTrajectory", "davie_step", "solve_flow",
     "InverseFlowResult", "solve_inverse_flow", "solve_nonlocal_flow",
-    "OccupancyResult", "occupancy_statistic", "lagrangian_stability_bound",
-    "LAGRANGIAN_STABILITY_CONSTANT", "save_particles_csv", "load_particles_csv",
+    "lagrangian_stability_bound", "LAGRANGIAN_STABILITY_CONSTANT",
+    "save_particles_csv", "load_particles_csv",
     "save_particles_binary", "load_particles_binary",
     "EulerState", "EulerTrajectory", "solve_rough_euler",
     "ViscousTrajectory", "solve_viscous_reference",

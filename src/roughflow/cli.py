@@ -19,8 +19,10 @@ CSV time series::
 
 The CSV may have a header row; one column is read as values on a unit-spaced
 grid, two or more as ``time, value...`` (vector values use the Euclidean
-increment norm).  ``--localize`` names the control — ``power:EXPONENT[:SCALE]``
-for ``ω(s,t) = SCALE·(t−s)^EXPONENT`` — and ``--L`` its threshold; ``--L``
+increment norm).  A time column that is not strictly increasing (a ``nan``
+cell included) or a non-finite value makes the command exit 1.
+``--localize`` names the control — ``power:EXPONENT[:SCALE]`` for
+``ω(s,t) = SCALE·(t−s)^EXPONENT`` — and ``--L`` its threshold; ``--L``
 alone localizes by plain interval length.  Output is one JSON object
 ``{"value": ..., "argmax_partition": [...]}`` on stdout, where ``value`` is
 the partition supremum ``sup_P Σ |g_increment|^p`` (the p-th power, matching
@@ -39,6 +41,7 @@ from .harness import EXPERIMENTS, ExperimentConfig, run_experiment
 from .variation import (
     Control,
     Localization,
+    _as_times,
     localized_p_variation,
     p_variation,
 )
@@ -114,6 +117,7 @@ def _parse_control(spec: str | None, times: np.ndarray) -> Control:
 
 def _run_pvar(args) -> int:
     times, values = _read_series(args.csv)
+    times = _as_times(times)  # checked with or without --L
     if args.localize is not None and args.threshold is None:
         raise RoughFlowError("--localize requires --L (the threshold)")
     if args.threshold is not None:

@@ -31,23 +31,6 @@ class HypothesisError(RoughFlowError, ValueError):
     """Explicit hypotheses of an estimate are violated by the inputs."""
 
 
-class CoherenceError(RoughFlowError):
-    """A germ failed the sewing coherence check.
-
-    Attributes
-    ----------
-    triple : tuple | None
-        ``(s, u, t)`` at which the worst violation was located.
-    defect : float | None
-        Measured ``|δh(s,u,t)| / ω(s,t)^{1/ζ}`` at that triple.
-    """
-
-    def __init__(self, message, triple=None, defect=None):
-        super().__init__(message)
-        self.triple = triple
-        self.defect = defect
-
-
 class StepSizeError(RoughFlowError):
     """A time step is too large for the scheme's validity guard (or CFL).
 

@@ -34,7 +34,6 @@ from .errors import GridError, HypothesisError, QuadratureError, UndersamplingEr
 __all__ = [
     "VectorField", "ConstantField", "ShearField", "GradPerpField", "SumField",
     "field_from_spec", "VorticityGrid", "biot_savart", "curl",
-    "velocity_divergence_defect",
     "gamma", "kernel_log_lipschitz_check", "KernelCheckResult",
     "mollify", "interpolate", "interpolate_velocity", "deposit", "torus_distance",
     "BIOT_SAVART_LOG_LIPSCHITZ_CONSTANT",
@@ -328,14 +327,6 @@ def biot_savart(w: VorticityGrid) -> np.ndarray:
     u1 = np.fft.ifft2(-1j * k2 * psi_hat).real
     u2 = np.fft.ifft2(1j * k1 * psi_hat).real
     return np.stack([u1, u2])
-
-
-def velocity_divergence_defect(u: np.ndarray) -> float:
-    """Max |∇·u| of a grid velocity field, computed spectrally."""
-    N = u.shape[-1]
-    k1, k2 = wavenumbers(N)
-    div_hat = 1j * k1 * np.fft.fft2(u[0]) + 1j * k2 * np.fft.fft2(u[1])
-    return float(np.abs(np.fft.ifft2(div_hat).real).max())
 
 
 def curl(u: np.ndarray) -> VorticityGrid:

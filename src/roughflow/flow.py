@@ -57,8 +57,8 @@ __all__ = [
     "save_particles_binary", "load_particles_binary",
     "FlowProblem", "davie_step", "FlowTrajectory", "FlowDiagnostics",
     "solve_flow", "InverseFlowResult", "solve_inverse_flow",
-    "solve_nonlocal_flow", "OccupancyResult", "occupancy_statistic",
-    "lagrangian_stability_bound", "LAGRANGIAN_STABILITY_CONSTANT",
+    "solve_nonlocal_flow", "lagrangian_stability_bound",
+    "LAGRANGIAN_STABILITY_CONSTANT",
 ]
 
 
@@ -761,45 +761,8 @@ def solve_nonlocal_flow(w0: VorticityGrid, driver: DriverPair, step_times, *,
 
 
 # ---------------------------------------------------------------------------
-# measure preservation and stability diagnostics
+# stability diagnostics
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OccupancyResult:
-    """Aggregate χ² of cell occupancies against the uniform multinomial.
-
-    One-sided: the flow of a uniform lattice should stay area-true, so only
-    *excess* dispersion fails (under-dispersion is better than multinomial
-    and passes).  ``threshold = dof + 3·√(2·dof)`` is the 3σ normal
-    approximation of the χ² tail.
-    """
-
-    chi_squared: float
-    dof: int
-    threshold: float
-    cells: int
-
-    @property
-    def passed(self) -> bool:
-        return self.chi_squared <= self.threshold
-
-
-def occupancy_statistic(positions, n_cells: int = 32) -> OccupancyResult:
-    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    n_p = pos.shape[0]
-    if n_p < n_cells * n_cells:
-        raise HypothesisError(f"need at least {n_cells * n_cells} particles "
-                              f"for a {n_cells}×{n_cells} occupancy test")
-    cells = np.floor(pos * (n_cells / TWO_PI)).astype(int) % n_cells
-    counts = np.bincount(cells[:, 0] * n_cells + cells[:, 1],
-                         minlength=n_cells * n_cells)
-    expected = n_p / (n_cells * n_cells)
-    chi2 = float(((counts - expected) ** 2).sum() / expected)
-    dof = n_cells * n_cells - 1
-    return OccupancyResult(chi_squared=chi2, dof=dof,
-                           threshold=dof + 3.0 * math.sqrt(2.0 * dof),
-                           cells=n_cells)
-
 
 #: Frozen empirical constant for the Lagrangian stability bound.  Calibrated
 #: by perturbing initial data, diffusion fields, drivers, and drifts one at a

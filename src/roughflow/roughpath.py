@@ -42,7 +42,6 @@ __all__ = [
     "RoughPath",
     "DriverPair",
     "lift_piecewise_linear",
-    "chen_defect",
     "sample_fbm",
     "reverse_rough_path",
     "variation_control",
@@ -274,20 +273,6 @@ def lift_piecewise_linear(times, values, p_exponent: float = 2.5) -> RoughPath:
     return RoughPath(times, vals, areas, p_exponent)
 
 
-def chen_defect(rp: RoughPath, s: float, u: float, t: float) -> np.ndarray:
-    """Chen defect matrix ``𝕫_{s,t} − 𝕫_{s,u} − 𝕫_{u,t} − Z_{s,u}⊗Z_{u,t}``.
-
-    The three times must be grid nodes (how a stored path can actually break
-    Chen); off-grid queries are Chen-consistent by construction.
-    """
-    i, j, k = (rp.node_index(x) for x in (s, u, t))
-    if not (i < j < k):
-        raise GridError("chen_defect requires s < u < t as distinct grid nodes")
-    return (rp.pair_second_level(i, k) - rp.pair_second_level(i, j)
-            - rp.pair_second_level(j, k)
-            - np.outer(rp.pair_first_level(i, j), rp.pair_first_level(j, k)))
-
-
 def reverse_rough_path(rp: RoughPath, t: float) -> RoughPath:
     """The lift of ``s ↦ Z_{t−s}`` on ``[0, t−t_0]``; ``t`` must be a node.
 
@@ -418,8 +403,8 @@ def difference_variation_control(rp1: RoughPath, rp2: RoughPath, times,
 
 def _control_from_pair_tables(t: np.ndarray, z: np.ndarray, zz: np.ndarray,
                               p: float) -> Control:
-    table = (_all_windows_dp(_norms_from_increments(z) ** p, None)
-             + _all_windows_dp(_norms_from_increments(zz) ** (p / 2.0), None))
+    table = (_all_windows_dp(_norms_from_increments(z) ** p)
+             + _all_windows_dp(_norms_from_increments(zz) ** (p / 2.0)))
     return Control.from_table(t, table, kind="rough-path-variation")
 
 

@@ -15,8 +15,8 @@ Conventions used throughout the package:
   updates every requested start row ``i < j`` at once with
   ``V[i, j] = max_k V[i, k] + |g_{t_k, t_j}|^p`` over admissible last cells.
   p-variation asks for start row 0 (O(n²) work); the all-windows tables
-  behind :func:`best_control` and the rough-path controls ask for every row
-  (O(n³) work, still one loop of n steps).
+  behind the rough-path controls ask for every row (O(n³) work, still one
+  loop of n steps).
 
 Increment inputs come in two forms:
 
@@ -47,7 +47,6 @@ __all__ = [
     "Localization",
     "p_variation",
     "localized_p_variation",
-    "best_control",
     "rough_gronwall_bound",
 ]
 
@@ -120,7 +119,7 @@ class Control:
         evaluate: vectorized callable ``(s, t) -> ω(s, t)`` for ``s <= t``
             (broadcasting arrays of times).
         kind: tag describing provenance, e.g. ``"interval-power"``,
-            ``"rough-path-variation"``, ``"best-control(p=2.5)"``, ``"sum"``,
+            ``"rough-path-variation"``, ``"sum"``,
             ``"scaled"``, ``"zero"``.
     """
 
@@ -287,12 +286,6 @@ def _sample_rows(values) -> np.ndarray:
     return v.reshape(v.shape[0], -1)
 
 
-def _norms_from_values(values) -> np.ndarray:
-    v = _sample_rows(values)
-    diff = v[None, :, :] - v[:, None, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def _norms_from_increments(increments) -> np.ndarray:
     g = np.asarray(increments, dtype=float)
     if g.ndim < 2 or g.shape[0] != g.shape[1]:
@@ -322,8 +315,9 @@ def _cell_powers(values, increments, p: float):
 
     ``values`` gives a column source: column ``j`` is
     ``‖g(t_j) − g(t_i)‖^p`` over ``i < j``, bitwise equal to the same column
-    of ``_norms_from_values(values) ** p``, in O(n·d) memory.  ``increments``
-    gives the dense O(n²) table of its norms.
+    of the dense reference ``tests/reference.py::norms_from_values(values)
+    ** p``, in O(n·d) memory.  ``increments`` gives the dense O(n²) table of
+    its norms.
 
     Raises:
         GridError: not exactly one input; an empty path; malformed
@@ -479,51 +473,10 @@ def localized_p_variation(values=None, p: float = 2.0, loc: Localization | None 
     return value
 
 
-def _all_windows_dp(norms_pow: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Table ``V[i, j]`` of maximal (masked) partition sums over every window
+def _all_windows_dp(norms_pow: np.ndarray) -> np.ndarray:
+    """Table ``V[i, j]`` of maximal partition sums over every window
     ``i < j``; zero on and below the diagonal."""
-    return np.triu(_partition_dp(norms_pow, mask, norms_pow.shape[0])[0], 1)
-
-
-def best_control(values=None, p: float = 2.0, loc: Localization | None = None, *,
-                 increments=None, times=None) -> Control:
-    """The minimal control dominating ``|g_{s,t}|^p`` on admissible cells.
-
-    ``best_control(g, p, loc)(s, t)`` is the localized p-variation of ``g``
-    restricted to the window ``[s, t]``.  It is exactly superadditive on the
-    grid (concatenating admissible partitions of adjoining windows yields an
-    admissible partition of the union) and dominates ``|g_{s,t}|^p`` whenever
-    ``(s, t)`` is admissible; any other control with those two properties
-    dominates it, hence "best".
-
-    Without ``loc`` the unrestricted variant is returned.
-
-    Cost is O(m³) arithmetic in the number of grid nodes, done as one
-    vectorized DP pass of ``m`` steps over all start rows — intended for
-    diagnostic grids.  Memory is the O(m²) table the control keeps (and, for
-    ``increments``, their O(m²) norm table); ``values`` and the localization
-    are streamed column by column as in :func:`p_variation`.
-
-    Raises:
-        GridError: as for :func:`localized_p_variation`, or no ``times``
-            and no localization.
-    """
-    if times is not None:
-        t = _as_times(times)
-    elif loc is not None:
-        t = loc.base_control.times
-    else:
-        raise GridError("best_control needs `times` when no localization is given")
-    if loc is not None and p <= 0:
-        raise HypothesisError(f"best control requires p > 0, got p={p}")
-    if loc is None and p < 1:
-        raise HypothesisError(f"unlocalized best control requires p >= 1, got p={p}")
-    cells = _cell_powers(values, increments, p)
-    m = cells.shape[0]
-    mask = _admissible_mask(loc, t, m)
-    table = _all_windows_dp(cells, mask)
-    tag = f"best-control(p={p:g}" + (f", L={loc.threshold:g})" if loc is not None else ")")
-    return Control.from_table(t, table, kind=tag)
+    return np.triu(_partition_dp(norms_pow, None, norms_pow.shape[0])[0], 1)
 
 
 # ---------------------------------------------------------------------------

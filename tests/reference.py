@@ -1,7 +1,7 @@
 """Independent brute-force references used across the test-suite.
 
 Everything here is written for obviousness, not speed: exhaustive enumeration
-over partitions, dense Riemann–Stieltjes sums, plain Monte-Carlo.  The library
+over partitions, dense pair tables, plain Monte-Carlo.  The library
 is tested against these, never the other way round.
 """
 
@@ -20,6 +20,19 @@ def increment_norms(values=None, increments=None):
     g = np.asarray(increments, dtype=float)
     g = g.reshape(g.shape[0], g.shape[1], -1)
     return np.sqrt((g ** 2).sum(axis=-1))
+
+
+def norms_from_values(values):
+    """|g(t_j) − g(t_i)| as a dense (n+1, n+1) matrix, the table the streamed
+    p-variation columns stand in for.
+
+    The norm is one ``einsum`` over the flattened trailing axes, the
+    contraction the streamed columns use, so the two agree bit for bit.
+    """
+    v = np.asarray(values, dtype=float)
+    v = v.reshape(v.shape[0], -1)
+    diff = v[None, :, :] - v[:, None, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def pvar_by_enumeration(norms, p, mask=None):
@@ -51,13 +64,6 @@ def pvar_by_enumeration(norms, p, mask=None):
     return best, best_nodes
 
 
-def riemann_stieltjes(f_vals, g_vals):
-    """Left-point Riemann–Stieltjes sum  Σ f(t_k) (g(t_{k+1}) − g(t_k))."""
-    f = np.asarray(f_vals, dtype=float)
-    g = np.asarray(g_vals, dtype=float)
-    return float(np.sum(f[:-1] * np.diff(g)))
-
-
 def fd_gradient(field, points, h=1e-6):
     """Central-difference Jacobian of a vector field, grad[..., a, b] = ∂_b σ^a."""
     pts = np.asarray(points, dtype=float)
@@ -86,6 +92,33 @@ def grid_w11(values):
     d1 = np.fft.ifft2(1j * k[:, None] * F).real
     d2 = np.fft.ifft2(1j * k[None, :] * F).real
     return grid_l1(vals) + grid_l1(d1) + grid_l1(d2)
+
+
+def spectral_divergence(u):
+    """Max |∇·u| of a grid velocity field ``u`` of shape (2, N, N), with
+    spectral derivatives."""
+    n = u.shape[-1]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    div_hat = (1j * k[:, None] * np.fft.fft2(u[0])
+               + 1j * k[None, :] * np.fft.fft2(u[1]))
+    return float(np.abs(np.fft.ifft2(div_hat).real).max())
+
+
+def occupancy_chi_squared(positions, n_cells):
+    """χ² of particle counts in an ``n_cells``² torus grid against the uniform
+    multinomial, with its one-sided 3σ threshold ``dof + 3·√(2·dof)``.
+
+    Returns ``(chi_squared, threshold)``.  A lattice carried by an
+    area-preserving flow stays below the threshold; clustering exceeds it.
+    """
+    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+    cells = np.floor(pos * (n_cells / (2.0 * np.pi))).astype(int) % n_cells
+    counts = np.bincount(cells[:, 0] * n_cells + cells[:, 1],
+                         minlength=n_cells * n_cells)
+    expected = pos.shape[0] / (n_cells * n_cells)
+    dof = n_cells * n_cells - 1
+    chi2 = float(((counts - expected) ** 2).sum() / expected)
+    return chi2, dof + 3.0 * np.sqrt(2.0 * dof)
 
 
 def chen_defect_direct(z_vals, areas, i, j, k):
@@ -124,7 +157,7 @@ def variation_control_table_meshgrid(rp, times, p):
     z_norm = np.sqrt(np.einsum("ija,ija->ij", z, z))
     zz = rp.pair_second_level(I, J)
     zz_norm = np.sqrt(np.einsum("ijab,ijab->ij", zz, zz))
-    return _all_windows_dp(z_norm ** p, None) + _all_windows_dp(zz_norm ** (p / 2.0), None)
+    return _all_windows_dp(z_norm ** p) + _all_windows_dp(zz_norm ** (p / 2.0))
 
 
 def all_windows_dp_by_rows(norms_pow, mask):
@@ -143,45 +176,6 @@ def all_windows_dp_by_rows(norms_pow, mask):
             row[j] = cand.max()
         V[i, i + 1:] = row[i + 1:]
     return V
-
-
-def local_error_report_by_pairs(Y, localization=None):
-    """``rough_integral``'s local-error report with the germ built pair by pair.
-
-    Every other quantity is formed as in the library, so the report must
-    match field for field; only the per-pair ``pair_first_level`` /
-    ``pair_second_level`` germ loop differs.
-    """
-    from roughflow.roughpath import variation_control
-    from roughflow.sewing import LocalErrorReport, rough_integral
-    from roughflow.variation import _all_windows_dp, _norms_from_increments, _norms_from_values
-
-    rp = Y.rough_path
-    values = rough_integral(Y).values
-    p = rp.p_exponent
-    t = rp.times
-    m = t.shape[0]
-    mask = localization.mask(t) if localization is not None else None
-    omega_z = variation_control(rp).pair_table(t)
-    omega_r = _all_windows_dp(_norms_from_increments(Y.remainder_matrix()) ** (p / 2.0), mask)
-    omega_d = _all_windows_dp(_norms_from_values(Y.derivative) ** p, mask)
-
-    iu, ju = np.triu_indices(m, k=1)
-    if mask is not None:
-        keep = mask[iu, ju] & np.isfinite(omega_r[iu, ju]) & np.isfinite(omega_d[iu, ju])
-        iu, ju = iu[keep], ju[keep]
-    germ = np.empty((iu.size,) + values.shape[1:])
-    for n, (i, j) in enumerate(zip(iu, ju)):
-        germ[n] = (np.einsum("...j,j->...", Y.values[i], rp.pair_first_level(i, j))
-                   + np.einsum("...ji,ij->...", Y.derivative[i], rp.pair_second_level(i, j)))
-    defect = values[ju] - values[iu] - germ
-    defect = np.sqrt((defect.reshape(defect.shape[0], -1) ** 2).sum(axis=1))
-    bound = (omega_r[iu, ju] ** (2.0 / p) * omega_z[iu, ju] ** (1.0 / p)
-             + omega_d[iu, ju] ** (1.0 / p) * omega_z[iu, ju] ** (2.0 / p))
-    pos = bound > 0
-    constant = float((defect[pos] / bound[pos]).max()) if pos.any() else 0.0
-    return LocalErrorReport(max_defect=float(defect.max()) if defect.size else 0.0,
-                            constant=constant, pairs_checked=int(iu.size))
 
 
 def euler_grids_by_redeposit(flows, resolution, mollify_eta=None):

@@ -36,7 +36,6 @@ from roughflow.fields import (
     save_field_binary,
     save_field_csv,
     torus_distance,
-    velocity_divergence_defect,
     vorticity_from_modes,
 )
 from roughflow.flow import load_particles_binary, load_particles_csv
@@ -47,6 +46,7 @@ from reference import (
     fd_gradient,
     grid_l1,
     grid_w11,
+    spectral_divergence,
     spectral_upsample_complex,
 )
 
@@ -204,7 +204,7 @@ class TestBiotSavart:
         g = band_limited_grid(64, seed=5)
         g = VorticityGrid(g.values - g.values.mean())
         u = biot_savart(g)
-        assert velocity_divergence_defect(u) <= 1e-10
+        assert spectral_divergence(u) <= 1e-10
         assert np.abs(curl(u).values - g.values).max() <= 1e-10
 
     def test_rejects_nonzero_mean(self):

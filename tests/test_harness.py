@@ -514,3 +514,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "sample row 1 is not finite" in captured.err
+
+    @pytest.mark.parametrize("times", ["0 nan 0.5 0.75", "0 0.5 0.25 0.75"])
+    @pytest.mark.parametrize("argv_tail", [[], ["--L", "1.0"]])
+    def test_pvar_bad_time_cell_exits_one(self, tmp_path, capsys, times, argv_tail):
+        path = tmp_path / "times.csv"
+        rows = zip(times.split(), ["0", "1", "0.2", "1"])
+        path.write_text("t,z\n" + "".join(f"{t},{z}\n" for t, z in rows))
+        assert main(["pvar", str(path)] + argv_tail) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "time grid must be strictly increasing" in captured.err

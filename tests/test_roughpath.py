@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from roughflow import GridError, HypothesisError
 from roughflow.roughpath import (
     RoughPath,
-    chen_defect,
     difference_variation_control,
     lift_piecewise_linear,
     load_rough_path_csv,
@@ -59,9 +58,14 @@ def test_two_dimensional_diagonal_path_cross_area():
 
 def test_chen_defect_vanishes_on_nodes():
     rp = brownian_lift(seed=5)
-    d = chen_defect(rp, rp.times[10], rp.times[60], rp.times[110])
     scale = np.abs(rp.second_level(rp.times[10], rp.times[110])).max()
+    d = chen_defect_direct(rp.values, rp.segment_area, 10, 60, 110)
     assert np.abs(d).max() <= 1e-13 * max(scale, 1.0)
+    # the library's window tables obey the same relation on those nodes
+    lib = (rp.pair_second_level(10, 110) - rp.pair_second_level(10, 60)
+           - rp.pair_second_level(60, 110)
+           - np.outer(rp.pair_first_level(10, 60), rp.pair_first_level(60, 110)))
+    assert np.abs(lib).max() <= 1e-13 * max(scale, 1.0)
 
 
 def test_prefix_composition_matches_naive_left_to_right():

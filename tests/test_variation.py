@@ -15,7 +15,6 @@ from roughflow import (
     HypothesisError,
     InfeasibleLocalizationError,
     Localization,
-    best_control,
     localized_p_variation,
     p_variation,
     rough_gronwall_bound,
@@ -24,11 +23,15 @@ from roughflow.variation import (
     _all_windows_dp,
     _cell_powers,
     _norms_from_increments,
-    _norms_from_values,
     _partition_dp,
     _walk_partition,
 )
-from reference import all_windows_dp_by_rows, increment_norms, pvar_by_enumeration
+from reference import (
+    all_windows_dp_by_rows,
+    increment_norms,
+    norms_from_values,
+    pvar_by_enumeration,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -199,48 +202,6 @@ def test_non_superadditive_table_fails_check():
         Control.from_table(times, table).check()
 
 
-def test_best_control_dominates_and_is_superadditive():
-    rng = np.random.default_rng(11)
-    times = np.linspace(0.0, 1.0, 17)
-    values = rng.standard_normal(17).cumsum() / 4.0
-    p = 2.2
-    loc = _interval_loc(times, exponent=1.0, L=0.4)
-    ctrl = best_control(values, p, loc)
-    ctrl.check()
-    norms = increment_norms(values=values)
-    mask = loc.mask(times)
-    for i in range(17):
-        for j in range(i + 1, 17):
-            if mask[i, j]:
-                assert norms[i, j] ** p <= ctrl(times[i], times[j]) + 1e-12
-
-
-def test_best_control_window_values_match_localized_variation():
-    rng = np.random.default_rng(13)
-    times = np.linspace(0.0, 1.0, 11)
-    values = rng.standard_normal(11).cumsum()
-    loc = _interval_loc(times, exponent=1.0, L=0.55)
-    ctrl = best_control(values, 2.0, loc)
-    sub = slice(2, 9)
-    want = localized_p_variation(values[sub], 2.0, loc, times=times[sub])
-    assert ctrl(times[2], times[8]) == pytest.approx(want, rel=1e-14)
-
-
-def test_best_control_full_interval_equals_p_variation():
-    values = [0.0, 1.0, 0.0, 1.0, 0.0]
-    times = np.linspace(0.0, 1.0, 5)
-    ctrl = best_control(values, 2.0, times=times)
-    assert ctrl(0.0, 1.0) == 4.0
-
-
-def test_best_control_infeasible_first_step_is_reported():
-    times = np.array([0.0, 0.5, 0.75, 1.0])
-    loc = _interval_loc(times, exponent=1.0, L=0.3)  # only the first step exceeds L
-    with pytest.raises(InfeasibleLocalizationError) as exc:
-        best_control([0.0, 1.0, 0.5, 2.0], 2.0, loc)
-    assert exc.value.step == 0
-
-
 # ---------------------------------------------------------------------------
 # the one partition DP against the per-row reference
 # ---------------------------------------------------------------------------
@@ -273,7 +234,10 @@ def _dp_instance(seed, m, mask_kind):
 def test_all_windows_dp_matches_per_row_reference(seed, m, mask_kind, p):
     increments, mask = _dp_instance(seed, m, mask_kind)
     norms_pow = _norms_from_increments(increments) ** p
-    got = _all_windows_dp(norms_pow, mask)
+    if mask is None:
+        got = _all_windows_dp(norms_pow)
+    else:
+        got = np.triu(_partition_dp(norms_pow, mask, m)[0], 1)
     want = all_windows_dp_by_rows(norms_pow, mask)
     assert got.tobytes() == want.tobytes()
 
@@ -319,7 +283,7 @@ def _streaming_loc(times, kind):
 @pytest.mark.parametrize("p", [0.7, 2.0, 2.5])
 def test_streamed_columns_equal_dense_table_bitwise(d, p):
     values = _random_walk(40, d)
-    dense = _norms_from_values(values) ** p
+    dense = norms_from_values(values) ** p
     cells = _cell_powers(values, None, p)
     assert cells.shape == dense.shape
     for j in range(1, 40):
@@ -333,29 +297,24 @@ def test_streamed_localized_path_equals_dense_path(d, p, kind):
     values = _random_walk(33, d)
     times = np.linspace(0.0, 1.0, 33)
     loc = _streaming_loc(times, kind)
-    dense = _norms_from_values(values) ** p
+    dense = norms_from_values(values) ** p
     mask = loc.mask(times)
     assert 32 < np.triu(mask, 1).sum() < 33 * 32 // 2  # some cells are cut
 
     V, pred = _partition_dp(dense, mask, 1)
     value, nodes = localized_p_variation(values, p, loc, return_partition=True)
     assert (value, nodes) == (V[0, -1], _walk_partition(pred[0], 32))
-    assert best_control(values, p, loc)._table.tobytes() \
-        == _all_windows_dp(dense, mask).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("p", [2.0, 2.5])
 def test_streamed_plain_path_equals_dense_path(d, p):
     values = _random_walk(33, d)
-    times = np.linspace(0.0, 1.0, 33)
-    dense = _norms_from_values(values) ** p
+    dense = norms_from_values(values) ** p
 
     V, pred = _partition_dp(dense, None, 1)
     value, nodes = p_variation(values, p, return_partition=True)
     assert (value, nodes) == (V[0, -1], _walk_partition(pred[0], 32))
-    assert best_control(values, p, times=times)._table.tobytes() \
-        == _all_windows_dp(dense, None).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -366,7 +325,7 @@ def test_streamed_path_matches_enumeration(d, p, localized):
     times = np.linspace(0.0, 1.0, 12)
     # below three entries the reference norms are the library's bit for bit;
     # above, the enumeration gets the dense library norms and checks the search
-    norms = increment_norms(values=values) if d < 3 else _norms_from_values(values)
+    norms = increment_norms(values=values) if d < 3 else norms_from_values(values)
     if localized:
         loc = _interval_loc(times, exponent=1.0, L=0.35)
         got = localized_p_variation(values, p, loc, return_partition=True)
@@ -399,7 +358,6 @@ NON_FINITE_CALLS = {
     "p_variation": lambda v, t: p_variation(v, 2.0, return_partition=True),
     "localized_p_variation": lambda v, t: localized_p_variation(
         v, 2.0, _interval_loc(t, exponent=1.0, L=1.0), return_partition=True),
-    "best_control": lambda v, t: best_control(v, 2.0, times=t),
 }
 
 
