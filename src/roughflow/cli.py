@@ -19,8 +19,9 @@ CSV time series::
 
 The CSV may have a header row; one column is read as values on a unit-spaced
 grid, two or more as ``time, value...`` (vector values use the Euclidean
-increment norm).  A time column that is not strictly increasing (a ``nan``
-cell included) or a non-finite value makes the command exit 1.
+increment norm).  A time column that is not strictly increasing and finite
+(a ``nan`` or ``inf`` cell included) or a non-finite value makes the command
+exit 1.
 ``--localize`` names the control — ``power:EXPONENT[:SCALE]`` for
 ``ω(s,t) = SCALE·(t−s)^EXPONENT`` — and ``--L`` its threshold; ``--L``
 alone localizes by plain interval length.  Output is one JSON object

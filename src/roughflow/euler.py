@@ -489,10 +489,15 @@ def _particle_pairings(family: FourierTestFunctions, sigmas, positions, weights,
     (the pointwise methods of :class:`FourierTestFunctions` summed against
     the weights).  The weights are contracted first, into coefficient rows
     ``w``, ``w·u``, ``w·σ_j``, ``w·(σ_i·∇)σ_j`` and ``w·σ_i⊗σ_j`` (the product
-    rule of ``σ_i·∇(σ_j·∇ψ)``); the rows meet one ``cos(k·x)`` and one
-    ``sin(k·x)`` table in two matrix products.  Every derivative of
-    ``cos(k·x)`` or ``sin(k·x)`` is a k-factor times one of those two, so no
-    transport is evaluated per point and the per-point tables stay local here.
+    rule of ``σ_i·∇(σ_j·∇ψ)``); the rows meet one ``(K, n)`` ``cos(k·x)`` and
+    one ``sin(k·x)`` table in two contractions over the particles.  Every
+    derivative of ``cos(k·x)`` or ``sin(k·x)`` is a k-factor times one of
+    those two, so no transport is evaluated per point and the per-point
+    tables stay local here.
+
+    The contractions are two-operand ``einsum``s, not BLAS products: a
+    threaded BLAS call leaves its worker spinning between snapshots, which
+    costs more CPU time than the products themselves.
     """
     pts = np.asarray(positions, dtype=float).reshape(-1, 2)
     w = np.asarray(weights, dtype=float).ravel()
@@ -509,10 +514,10 @@ def _particle_pairings(family: FourierTestFunctions, sigmas, positions, weights,
         (w * np.einsum("ian,jban->ijbn", sig, jac)).reshape(2 * M * M, n),
         (w * sig[:, None, :, None] * sig[None, :, None, :]).reshape(4 * M * M, n),
     ])
-    theta = pts @ family._ks.T                    # (n, K)
-    C = rows @ np.cos(theta)                      # (rows, K)
-    S = rows @ np.sin(theta)
     k = family._ks                                # (K, 2)
+    theta = np.einsum("Ka,na->Kn", k, pts)        # (K, n)
+    C = np.einsum("rn,Kn->rK", rows, np.cos(theta))
+    S = np.einsum("rn,Kn->rK", rows, np.sin(theta))
     kk = k[:, :, None] * k[:, None, :]            # (K, 2, 2)
 
     def grad(lo, hi, shape):
@@ -619,8 +624,9 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     velocity still comes from the stored grids, interpolated to the
     particles.  Each snapshot builds one ``cos(k·x)`` and one ``sin(k·x)``
     table at its particles; the weights, velocities and coefficient fields are
-    contracted into rows that meet those two tables in two matrix products,
-    and every pairing (``ψ``, ``u·∇ψ``, ``σ_j·∇ψ``, ``σ_i·∇(σ_j·∇ψ)``) is a
+    contracted into rows that meet those two tables in two contractions over
+    the particles (``einsum``, not BLAS; see :func:`_particle_pairings`), and
+    every pairing (``ψ``, ``u·∇ψ``, ``σ_j·∇ψ``, ``σ_i·∇(σ_j·∇ψ)``) is a
     k-factor combination of the results.
 
     The tables use the default :class:`FourierTestFunctions` family on at
@@ -682,16 +688,17 @@ def weak_remainder(trajectory: EulerTrajectory, *,
             f"disagreement {quad_err:.3e} vs scale {mu_scale:.3e} "
             f"(store snapshots more densely)")
 
+    # the (n, n, F) tables are built in place; the only temporary of that
+    # size is the second einsum's result
     dZ, AA = rp.pair_tables(times)
-    driver_terms = (-np.einsum("ijm,imf->ijf", dZ, PS)
-                    + np.einsum("ijab,iabf->ijf", AA, PSS))
-    dP = P[None, :, :] - P[:, None, :]
-    R = dP - mu - driver_terms
-    iu = np.triu_indices(n, k=0)
-    keep_upper = np.zeros((n, n, F))
-    keep_upper[iu] = R[iu]
-    R = keep_upper
-    remainder_norms = np.abs(R / fam.w31_norms).max(axis=-1)
+    driver_terms = np.einsum("ijab,iabf->ijf", AA, PSS)
+    driver_terms -= np.einsum("ijm,imf->ijf", dZ, PS)
+    R = P[None, :, :] - P[:, None, :]
+    R -= mu
+    R -= driver_terms
+    R[np.tril_indices(n, -1)] = 0.0
+    scaled = np.divide(R, fam.w31_norms)
+    remainder_norms = np.abs(scaled, out=scaled).max(axis=-1)
     remainder_norms = np.triu(remainder_norms)
 
     omega_z = variation_control(rp, times)

@@ -361,9 +361,33 @@ def gamma(r):
     return out
 
 
+def _mod_two_pi(x) -> np.ndarray:
+    """``x % TWO_PI``, bit for bit, signed zeros, NaN and infinities included.
+
+    ``np.mod`` pays a floating-point division per entry.  Where every entry
+    lies in ``[0, 2π)`` the result is ``x + 0.0`` (a copy that maps −0.0 to
+    +0.0, as ``%`` does); on ``[−2π, 4π)`` it is one masked ``±2π``, which
+    rounds exactly as ``%`` does (the subtraction is exact by Sterbenz's
+    lemma, the addition is ``%``'s own last step).  Anything else, including
+    an array holding NaN or an infinity (its min/max test fails), goes
+    through ``np.mod``.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.size:
+        lo, hi = x.min(), x.max()
+        if 0.0 <= lo and hi < TWO_PI:
+            return x + 0.0
+        if -TWO_PI <= lo and hi < 2.0 * TWO_PI:
+            out = x + 0.0
+            np.add(out, TWO_PI, out=out, where=x < 0.0)
+            np.subtract(out, TWO_PI, out=out, where=x >= TWO_PI)
+            return out
+    return np.mod(x, TWO_PI)
+
+
 def _nearest_image(d):
     """Coordinate differences mapped to their nearest periodic image, [−π, π)."""
-    return (d + math.pi) % TWO_PI - math.pi
+    return _mod_two_pi(d + math.pi) - math.pi
 
 
 def _torus_distances(x, y) -> np.ndarray:
@@ -530,26 +554,38 @@ def interpolate(field, points, method: str = "spectral",
     """
     values = field.values if isinstance(field, VorticityGrid) else np.asarray(field, float)
     pts = np.asarray(points, dtype=float)
-    return _interp_components([values], pts, method, upsample)[0, ...]
+    return _interp_components(_interp_grids([values], method, upsample), pts,
+                              method)[0, ...]
 
 
-def _interp_components(values, pts: np.ndarray, method: str,
-                       upsample: int) -> np.ndarray:
-    """Each ``(N, N)`` grid in ``values`` at ``pts``, shape ``(C,) + pts.shape[:-1]``.
+def _interp_grids(values, method: str, upsample: int) -> list:
+    """What :func:`_interp_components` reads for ``method``: the ``(N, N)``
+    grids themselves for ``"spectral"``, their wrap-padded ``upsample×``
+    grids (:func:`_padded_upsample`) for ``"cubic"``."""
+    if method != "cubic":
+        return list(values)
+    if upsample < 1:
+        raise GridError("upsample factor must be a positive integer")
+    return [_padded_upsample(c, upsample) for c in values]
+
+
+def _interp_components(grids, pts: np.ndarray, method: str) -> np.ndarray:
+    """Each grid of ``grids`` (from :func:`_interp_grids`) at ``pts``, shape
+    ``(C,) + pts.shape[:-1]``.
 
     The point stencil is built once and shared by every component; each
     component's result equals a one-component call bit for bit.
     """
     if pts.shape[-1] != 2:
         raise GridError("points must have a trailing axis of size 2")
-    flat = pts.reshape(-1, 2) % TWO_PI
+    flat = _mod_two_pi(pts.reshape(-1, 2))
     if method == "spectral":
-        out = _interp_spectral(values, flat)
+        out = _interp_spectral(grids, flat)
     elif method == "cubic":
-        out = _interp_cubic(values, flat, upsample)
+        out = _interp_cubic(grids, flat)
     else:
         raise GridError(f"unknown interpolation method {method!r}")
-    return out.reshape((len(values),) + pts.shape[:-1])
+    return out.reshape((len(grids),) + pts.shape[:-1])
 
 
 def _phase_table(x: np.ndarray, N: int) -> np.ndarray:
@@ -586,6 +622,49 @@ def _interp_spectral_lattice(values: np.ndarray, x: np.ndarray) -> np.ndarray:
                      E).real / (N * N)
 
 
+def _padded_upsample(values: np.ndarray, r: int) -> np.ndarray:
+    """The ``r×`` spectral upsample of ``values`` inside a wrap-padded buffer.
+
+    The result has shape ``(Nu + 4, Nu + 4)`` with ``Nu = r·N``: the fine
+    grid of :func:`_spectral_upsample` fills ``[1:Nu + 1, 1:Nu + 1]``, and
+    the border repeats it periodically, one row and column before and three
+    after (what ``np.pad(fine, ((1, 3), (1, 3)), mode="wrap")`` would give).
+    The scaled ``irfft2`` result is written straight into the interior and
+    the border is filled by slice copies, so no padded copy is made.
+    ``irfft2`` itself gets no ``out=``: numpy 2.4.6 leaves wrong values in
+    it.
+
+    Raises:
+        GridError: ``values`` is not square, or ``r > 1`` and its side is odd.
+    """
+    if values.ndim != 2 or values.shape[0] != values.shape[1] \
+            or (r > 1 and values.shape[0] % 2):
+        raise GridError(f"spectral upsampling needs a square grid with an even "
+                        f"side, got shape {values.shape}")
+    N = values.shape[0]
+    Nu = N * r
+    out = np.empty((Nu + 4, Nu + 4))
+    interior = out[1:Nu + 1, 1:Nu + 1]
+    if r == 1:
+        interior[...] = values
+    else:
+        half = N // 2
+        ny = Nu - half
+        W = np.fft.rfft2(values)
+        Wf = np.zeros((Nu, Nu // 2 + 1), dtype=complex)
+        Wf[:half, :half + 1] = W[:half]
+        Wf[ny:, :half + 1] = W[half:]
+        Wf[:, half] /= 2.0
+        Wf[half, :] = Wf[ny, :] / 2.0
+        Wf[ny, :] /= 2.0
+        np.multiply(np.fft.irfft2(Wf, s=(Nu, Nu)), r * r, out=interior)
+    out[1:Nu + 1, 0] = out[1:Nu + 1, Nu]
+    out[1:Nu + 1, Nu + 1:] = out[1:Nu + 1, 1:4]
+    out[0] = out[Nu]
+    out[Nu + 1:] = out[1:4]
+    return out
+
+
 def _spectral_upsample(values: np.ndarray, r: int) -> np.ndarray:
     """Zero-padded FFT upsampling with symmetric Nyquist splitting (exact for
     band-limited input).
@@ -594,50 +673,31 @@ def _spectral_upsample(values: np.ndarray, r: int) -> np.ndarray:
     an ``(Nu, Nu/2 + 1)`` half-spectrum of the ``Nu = r·N`` grid, the Nyquist
     row and column are split evenly between wavenumbers ``±N/2`` (the column
     at ``−N/2`` is implied by Hermitian symmetry), and ``irfft2`` returns the
-    real fine grid.  ``r = 1`` returns a copy of the input.
+    real fine grid, scaled by ``r²``.  ``r = 1`` returns a copy of the input.
+    The result is the ``(Nu, Nu)`` interior view of :func:`_padded_upsample`.
 
     Raises:
-        GridError: ``values`` is not square with an even side.
+        GridError: ``values`` is not square, or ``r > 1`` and its side is odd.
     """
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] % 2:
-        raise GridError(f"spectral upsampling needs a square grid with an even "
-                        f"side, got shape {values.shape}")
-    if r == 1:
-        return np.array(values, dtype=float)
-    N = values.shape[0]
-    Nu = N * r
-    half = N // 2
-    ny = Nu - half
-    W = np.fft.rfft2(values)
-    Wf = np.zeros((Nu, Nu // 2 + 1), dtype=complex)
-    Wf[:half, :half + 1] = W[:half]
-    Wf[ny:, :half + 1] = W[half:]
-    Wf[:, half] /= 2.0
-    Wf[half, :] = Wf[ny, :] / 2.0
-    Wf[ny, :] /= 2.0
-    return np.fft.irfft2(Wf, s=(Nu, Nu)) * r * r
+    return _padded_upsample(values, r)[1:-3, 1:-3]
 
 
-def _interp_cubic(values, pts: np.ndarray, r: int) -> np.ndarray:
-    """Periodic Catmull-Rom at ``pts`` of each ``(N, N)`` component in ``values``.
+def _interp_cubic(padded, pts: np.ndarray) -> np.ndarray:
+    """Periodic Catmull-Rom at ``pts`` of each fine grid in ``padded``.
 
-    ``values`` is a sequence of ``C`` grids and the result has shape
-    ``(C, n_pts)``; ``pts`` lie in ``[0, 2π]``.  The stencil (cell floor,
-    weights and gather offsets) is built once and shared by every component;
-    each component is summed in the same order a single-component call would
-    use.
+    ``padded`` is a sequence of ``C`` wrap-padded fine grids from
+    :func:`_padded_upsample` and the result has shape ``(C, n_pts)``;
+    ``pts`` lie in ``[0, 2π]``.  The stencil (cell floor, weights and gather
+    offsets) is built once and shared by every component; each component is
+    summed in the same order a single-component call would use.
 
-    Each fine grid is wrap-padded once, one row and column before and three
-    after, so the 4×4 taps of a floor ``i0 ∈ [0, Nu]`` (``i0 = Nu`` when a
-    point rounds onto ``2π``) are plain offsets ``a·P + b`` from one flat base
-    index: no per-tap modulo.  The sums equal those of the modulo-indexed
-    gather bit for bit.
+    The border of each grid makes the 4×4 taps of a floor ``i0 ∈ [0, Nu]``
+    (``i0 = Nu`` when a point rounds onto ``2π``) plain offsets ``a·P + b``
+    from one flat base index: no per-tap modulo.  The sums equal those of
+    the modulo-indexed gather bit for bit.
     """
-    if r < 1:
-        raise GridError("upsample factor must be a positive integer")
-    fine = [_spectral_upsample(c, r) for c in values] if r > 1 else list(values)
-    Nu = fine[0].shape[0]
-    P = Nu + 4
+    P = padded[0].shape[0]
+    Nu = P - 4
     g = pts * (Nu / TWO_PI)
     i0 = np.floor(g).astype(int)
     f = g - i0
@@ -654,7 +714,7 @@ def _interp_cubic(values, pts: np.ndarray, r: int) -> np.ndarray:
 
     w1 = weights(f[:, 0])
     w2 = weights(f[:, 1])
-    flats = [np.pad(c, ((1, 3), (1, 3)), mode="wrap").ravel() for c in fine]
+    flats = [c.ravel() for c in padded]
     base = i0[:, 0] * P + i0[:, 1]
     out = np.zeros((len(flats), pts.shape[0]))
     tmp = np.empty(pts.shape[0])
@@ -676,7 +736,8 @@ def interpolate_velocity(u: np.ndarray, points, method: str = "cubic",
     :func:`interpolate` call bit for bit.
     """
     pts = np.asarray(points, dtype=float)
-    return np.stack(_interp_components([u[0], u[1]], pts, method, upsample), axis=-1)
+    return np.stack(_interp_components(_interp_grids([u[0], u[1]], method, upsample),
+                                       pts, method), axis=-1)
 
 
 def deposit(positions, weights, resolution: int) -> VorticityGrid:
@@ -699,17 +760,26 @@ def deposit(positions, weights, resolution: int) -> VorticityGrid:
     if n_p < N * N:
         raise UndersamplingError(
             f"deposition needs at least N² = {N * N} particles, got {n_p}")
-    g = (pts % TWO_PI) * (N / TWO_PI)
+    g = _mod_two_pi(pts)
+    g *= N / TWO_PI
     i0 = np.floor(g).astype(int)
     f = g - i0
+    # per axis, the two nodes of each particle's cell (g can round onto N, so
+    # both may need one wrap) and their hat weights |1 − a − f| = 1 − f and f
+    nodes, hats = [], []
+    for ax in (0, 1):
+        lo = i0[:, ax]
+        lo[lo >= N] -= N
+        hi = lo + 1
+        hi[hi >= N] -= N
+        nodes.append((lo, hi))
+        hats.append((1.0 - f[:, ax], f[:, ax]))
     acc = np.zeros(N * N)
-    for a in (0, 1):
-        wa = np.abs(1 - a - f[:, 0])
-        ia = (i0[:, 0] + a) % N
-        for b in (0, 1):
-            wb = np.abs(1 - b - f[:, 1])
-            ib = (i0[:, 1] + b) % N
-            np.add.at(acc, ia * N + ib, w * wa * wb)
+    for row, hat_a in zip(nodes[0], hats[0]):
+        row = row * N
+        w_a = w * hat_a
+        for col, hat_b in zip(nodes[1], hats[1]):
+            np.add.at(acc, row + col, w_a * hat_b)
     return VorticityGrid(acc.reshape(N, N) * (N * N / n_p))
 
 

@@ -34,16 +34,17 @@ from .fields import (
     TWO_PI,
     VectorField,
     VorticityGrid,
+    _interp_components,
+    _interp_grids,
     _interp_spectral_lattice,
+    _mod_two_pi,
     _nearest_image,
     _read_header,
     _read_table,
-    _spectral_upsample,
     _torus_distances,
     biot_savart,
     deposit,
     gamma,
-    interpolate_velocity,
     mollify,
 )
 from .roughpath import DriverPair, _control_from_pair_tables, \
@@ -63,8 +64,8 @@ __all__ = [
 
 
 def _wrap(x: np.ndarray) -> np.ndarray:
-    out = np.mod(x, TWO_PI)
-    # np.mod rounds 2π−ε up to 2π itself for tiny negative inputs; keep the
+    out = _mod_two_pi(x)
+    # x % 2π rounds 2π−ε up to 2π itself for tiny negative inputs; keep the
     # documented half-open fundamental domain [0, 2π)
     out[out >= TWO_PI] = 0.0
     return out
@@ -173,8 +174,8 @@ class GridDrift:
     or more, evaluation outside ``[t_0, t_last]`` is an error.
 
     Spatial evaluation is periodic cubic interpolation on an FFT-upsampled
-    grid (upsampled once at construction) or exact trigonometric
-    interpolation with ``interpolation="spectral"``; any other
+    grid (upsampled and wrap-padded once at construction) or exact
+    trigonometric interpolation with ``interpolation="spectral"``; any other
     ``interpolation`` is a :class:`GridError`.  An optional ``mollify_eta``
     convolves every snapshot with the compact bump on construction — the
     mollified-drift variant used by the existence-proof convergence
@@ -204,11 +205,7 @@ class GridDrift:
         self.interpolation = interpolation
         self.sup_norm = max(float(np.abs(s).max()) for s in snaps)
         self.log_lipschitz: float | None = None
-        if interpolation == "cubic":
-            self._grids = [np.stack([_spectral_upsample(c, _CUBIC_UPSAMPLE) for c in s])
-                           for s in snaps]
-        else:
-            self._grids = snaps
+        self._grids = [_interp_grids(s, interpolation, _CUBIC_UPSAMPLE) for s in snaps]
 
     def _index(self, t: float) -> int:
         if self.times.size == 1:
@@ -222,8 +219,9 @@ class GridDrift:
 
     def velocity(self, t, positions):
         k = self._index(float(t))
-        return interpolate_velocity(self._grids[k], positions, self.interpolation,
-                                    upsample=1)
+        pts = np.asarray(positions, dtype=float)
+        return np.stack(_interp_components(self._grids[k], pts, self.interpolation),
+                        axis=-1)
 
     def measure_log_lipschitz(self) -> float:
         """Sampled sup of ``|u(t,x)−u(t,y)| / γ(d(x,y))`` at every snapshot

@@ -61,8 +61,10 @@ def _as_times(times) -> np.ndarray:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise GridError("a time grid must be a one-dimensional array with at least one node")
-    if t.size > 1 and not np.all(np.diff(t) > 0):
-        raise GridError("time grid must be strictly increasing")
+    # an infinite last node passes the difference test ([0, 0.5, inf] has
+    # differences [0.5, inf]), so finiteness is checked on its own
+    if not np.isfinite(t).all() or (t.size > 1 and not np.all(np.diff(t) > 0)):
+        raise GridError("time grid must be strictly increasing and finite")
     return t
 
 

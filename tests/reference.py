@@ -260,6 +260,30 @@ def cubic_by_modulo_gather(values, pts, r):
     return out
 
 
+def deposit_by_modulo(positions, weights, N):
+    """Bilinear deposition as the library wrote it before its one-wrap kernel:
+    ``np.mod`` positions, per-tap ``% N`` node indices and hat weights
+    ``|1 − a − f|`` recomputed inside the loop, summed a → b into one
+    ``np.add.at`` table.  Returns the raw ``(N, N)`` node values times
+    ``N²/N_p``, the :class:`~roughflow.fields.VorticityGrid` values."""
+    from roughflow.fields import TWO_PI
+
+    pts = np.asarray(positions, dtype=float).reshape(-1, 2)
+    w = np.broadcast_to(np.asarray(weights, dtype=float).ravel(), (pts.shape[0],))
+    g = np.mod(pts, TWO_PI) * (N / TWO_PI)
+    i0 = np.floor(g).astype(int)
+    f = g - i0
+    acc = np.zeros(N * N)
+    for a in (0, 1):
+        wa = np.abs(1 - a - f[:, 0])
+        ia = (i0[:, 0] + a) % N
+        for b in (0, 1):
+            wb = np.abs(1 - b - f[:, 1])
+            ib = (i0[:, 1] + b) % N
+            np.add.at(acc, ia * N + ib, w * wa * wb)
+    return acc.reshape(N, N) * (N * N / pts.shape[0])
+
+
 def second_level_by_einsum(sigmas, positions, A):
     """The Davie step's second-level term ``Σ_{i,j,b} 𝕫^{ij} σ_i^b ∂_b σ_j^a``
     as one three-operand contraction over stacked values and gradients."""

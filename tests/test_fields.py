@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughflow.errors import (
@@ -20,6 +20,9 @@ from roughflow.fields import (
     ShearField,
     VorticityGrid,
     _interp_cubic,
+    _mod_two_pi,
+    _nearest_image,
+    _padded_upsample,
     _spectral_upsample,
     biot_savart,
     curl,
@@ -38,11 +41,12 @@ from roughflow.fields import (
     torus_distance,
     vorticity_from_modes,
 )
-from roughflow.flow import load_particles_binary, load_particles_csv
+from roughflow.flow import _wrap, load_particles_binary, load_particles_csv
 from roughflow.roughpath import load_rough_path_csv
 
 from reference import (
     cubic_by_modulo_gather,
+    deposit_by_modulo,
     fd_gradient,
     grid_l1,
     grid_w11,
@@ -430,7 +434,7 @@ class TestInterpolate:
                          np.array([[-1e-20, 1.0], [1.0, -1e-300]]) % TWO_PI])
         g = pts * ((N * r) / TWO_PI)
         assert np.floor(g).max() == N * r  # some point rounds onto 2π
-        got = _interp_cubic(values, pts, r)
+        got = _interp_cubic([_padded_upsample(c, r) for c in values], pts)
         want = cubic_by_modulo_gather(values, pts, r)
         assert got.shape == (2, pts.shape[0])
         assert got.tobytes() == want.tobytes()
@@ -488,6 +492,104 @@ class TestDeposit:
         w = rng.uniform(-3.0, 3.0, size=20)
         d = deposit(pts, w, 4)
         assert d.mean == pytest.approx(w.mean(), abs=1e-12)
+
+
+# the edges of _mod_two_pi's ranges, their float neighbours, signed zeros,
+# the smallest magnitudes and the non-finite values that force np.mod
+_EDGES = [s * m * TWO_PI for s in (1.0, -1.0) for m in (0.0, 1.0, 2.0, 3.0)]
+TORUS_SPECIALS = sorted({v for e in _EDGES for v in
+                         (e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))}
+                        | {5e-324, -5e-324, 1e-300, -1e-300, math.pi}) \
+    + [-0.0, math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def torus_arrays(draw):
+    """Float arrays within [0, 2π), [−2π, 4π) or ±3·2π (one range per
+    array, so every branch of _mod_two_pi runs), mixed with the specials."""
+    lo, hi = draw(st.sampled_from([(0.0, TWO_PI), (-TWO_PI, 2 * TWO_PI),
+                                   (-3 * TWO_PI, 3 * TWO_PI)]))
+    element = st.floats(lo, hi, exclude_max=True) | st.sampled_from(
+        [v for v in TORUS_SPECIALS if lo <= v < hi] or [lo])
+    values = draw(st.lists(element, max_size=16))
+    if draw(st.booleans()):
+        values.append(draw(st.sampled_from(TORUS_SPECIALS)))
+    return np.array(values, dtype=float)
+
+
+def wrap_by_mod(x):
+    out = np.mod(x, TWO_PI)
+    out[out >= TWO_PI] = 0.0
+    return out
+
+
+class TestTorusReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(torus_arrays())
+    @example(np.array([], dtype=float))
+    @example(np.array(TORUS_SPECIALS))
+    @example(np.array([-0.0, 0.0, np.nextafter(TWO_PI, 0.0), -1e-300]))
+    def test_mod_two_pi_equals_remainder_bitwise(self, x):
+        with np.errstate(invalid="ignore"):
+            want = x % TWO_PI
+            got = _mod_two_pi(x)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(torus_arrays())
+    @example(np.array([], dtype=float))
+    @example(np.array(TORUS_SPECIALS))
+    def test_wrap_and_nearest_image_equal_their_mod_forms_bitwise(self, x):
+        with np.errstate(invalid="ignore"):
+            assert _wrap(x).tobytes() == wrap_by_mod(x).tobytes()
+            want = (x + math.pi) % TWO_PI - math.pi
+            assert _nearest_image(x).tobytes() == want.tobytes()
+
+    def test_np_mod_runs_only_outside_the_fast_ranges(self, monkeypatch):
+        def no_mod(*args, **kwargs):
+            raise AssertionError("np.mod called")
+
+        monkeypatch.setattr(np, "mod", no_mod)
+        for x in ([0.0, -0.0, np.nextafter(TWO_PI, 0.0)],
+                  [-TWO_PI, -1e-300, np.nextafter(2 * TWO_PI, 0.0)]):
+            x = np.array(x)
+            # a fresh array, never the input: _wrap writes into it
+            assert _mod_two_pi(x) is not x
+        for x in ([2 * TWO_PI], [-7.0], [math.nan], [1.0, math.inf]):
+            with pytest.raises(AssertionError, match="np.mod called"):
+                _mod_two_pi(np.array(x))
+
+
+class TestDepositKernel:
+    @staticmethod
+    def edge_points(N):
+        # coordinates on nodes, just below 2π (g rounds onto N), tiny
+        # negatives (the remainder rounds onto 2π) and far outside [0, 2π)
+        h = TWO_PI / N
+        c = np.array([0.0, -0.0, h, np.nextafter(h, 0.0), np.nextafter(TWO_PI, 0.0),
+                      -1e-300, -1e-17, TWO_PI, -TWO_PI, 3.5 * TWO_PI, -7.25])
+        return np.stack(np.meshgrid(c, c), axis=-1).reshape(-1, 2)
+
+    @pytest.mark.parametrize("N", [4, 16, 64])
+    def test_deposit_equals_modulo_reference_bitwise(self, N):
+        rng = np.random.default_rng(N)
+        pts = np.vstack([rng.uniform(-TWO_PI, 2 * TWO_PI, size=(4 * N * N, 2)),
+                         self.edge_points(N)])
+        w = rng.standard_normal(len(pts))
+        assert np.floor(np.mod(pts, TWO_PI) * (N / TWO_PI)).max() == N
+        got = deposit(pts, w, N).values
+        assert got.tobytes() == deposit_by_modulo(pts, w, N).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([4, 8, 16]),
+           st.sampled_from([1.0, 3.0]))
+    def test_deposit_equals_modulo_reference_property(self, seed, N, spread):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-spread * TWO_PI, spread * TWO_PI, size=(N * N + 7, 2))
+        w = rng.uniform(-3.0, 3.0, size=len(pts))
+        got = deposit(pts, w, N).values
+        assert got.tobytes() == deposit_by_modulo(pts, w, N).tobytes()
 
 
 class TestFieldSerialization:

@@ -82,6 +82,7 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("bad", [
         {"resolution": 4}, {"particles": 1}, {"horizon": 0.0},
         {"hurst": 0.75}, {"meshes": ()}, {"sigma": ()}, {"seeds": (-1,)},
+        {"hurst": 0.3}, {"hurst": 1.0 / 3.0}, {"hurst": 0.0},
     ])
     def test_out_of_range_fields_rejected(self, bad):
         with pytest.raises(HypothesisError):
@@ -110,6 +111,15 @@ class TestExperimentConfig:
             "remainder_scan": ("slope_band", "stability_band"),
             "flow_convergence": ("perturbation_sizes",),
         }
+
+    def test_p_exponent_exceeds_one_over_hurst_and_stays_below_three(self):
+        hursts = np.linspace(1.0 / 3.0, 0.5, 201)[1:]
+        ps = np.array([harness._p_from_hurst(h) for h in hursts])
+        assert np.all(1.0 / hursts < ps) and np.all(ps < 3.0)
+        # the rule is 1/H + 0.1 from H = 1/2.8 up, so defaults keep their bits
+        for h in (0.5, 0.45, 0.4, 0.36):
+            assert harness._p_from_hurst(h) == 1.0 / h + 0.1
+        assert harness._p_from_hurst(0.34) == (1.0 / 0.34 + 3.0) / 2.0
 
     def test_non_json_value_rejected(self):
         with pytest.raises(GridError, match="JSON"):
@@ -525,3 +535,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "time grid must be strictly increasing" in captured.err
+
+    @pytest.mark.parametrize("argv_tail", [[], ["--L", "1.0"]])
+    def test_pvar_infinite_time_cell_exits_one(self, tmp_path, capsys, argv_tail):
+        # the differences of 0, 0.5, inf are all positive; the grid check
+        # still rejects it, with and without --L
+        path = tmp_path / "inf.csv"
+        path.write_text("t,z\n0,0\n0.5,1\ninf,0.2\n")
+        assert main(["pvar", str(path)] + argv_tail) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "time grid must be strictly increasing and finite" in captured.err

@@ -34,13 +34,53 @@ def definitions(name):
     return found
 
 
-@pytest.mark.parametrize("name", ["TWO_PI", "_nearest_image", "_jsonable",
+@pytest.mark.parametrize("name", ["TWO_PI", "_mod_two_pi", "_nearest_image", "_jsonable",
                                   "_partition_dp", "_admissible_mask",
                                   "_torus_distances", "_log_lipschitz_ratio",
                                   "_fit_slope", "_time_tol", "_read_table",
                                   "_read_header"])
 def test_helper_is_defined_once(name):
     assert len(definitions(name)) == 1, definitions(name)
+
+
+def outside_function(tree, name):
+    """The nodes of ``tree`` that do not lie inside the function ``name``."""
+    inside = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == name for n in ast.walk(f)}
+    return [n for n in ast.walk(tree) if id(n) not in inside]
+
+
+def test_torus_reduction_goes_through_mod_two_pi():
+    # np.mod pays a division per entry; _mod_two_pi is bitwise the same and
+    # skips it on the ranges particle positions live in.  Padded grids are
+    # built in place (fields._padded_upsample), never by np.pad.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in outside_function(tree, "_mod_two_pi"):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                    and isinstance(node.op, ast.Mod) \
+                    and "TWO_PI" in referenced_names(node.right if isinstance(
+                        node, ast.BinOp) else node.value):
+                found.append(f"{path.name}:{node.lineno} % TWO_PI")
+            if isinstance(node, ast.Attribute) and node.attr in ("mod", "remainder",
+                                                                 "fmod", "pad") \
+                    and isinstance(node.value, ast.Name) and node.value.id == "np":
+                found.append(f"{path.name}:{node.lineno} np.{node.attr}")
+    assert found == []
+
+
+def test_ledger_contraction_makes_no_blas_call():
+    # A threaded OpenBLAS product leaves its second thread spinning between
+    # snapshots: the weak ledger then burned about 60% more CPU time than
+    # wall time.  The contractions are two-operand einsums instead.
+    tree = ast.parse((SOURCE / "euler.py").read_text())
+    fn = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)
+              and n.name == "_particle_pairings")
+    matmul = [n.lineno for n in ast.walk(fn)
+              if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult)]
+    assert matmul == []
+    assert referenced_names(fn) & {"dot", "matmul", "tensordot", "vdot", "inner"} == set()
 
 
 def test_flow_draws_random_numbers_in_one_place():

@@ -186,6 +186,14 @@ def test_control_sum_and_scale_pass_checks():
         (-1.0) * ctrl
 
 
+@pytest.mark.parametrize("times", [[0.0, 0.5, math.inf], [-math.inf, 0.0, 1.0],
+                                   [math.inf], [0.0, math.nan, 1.0]])
+def test_time_grid_must_be_finite(times):
+    # [0, 0.5, inf] has positive differences; finiteness is its own check
+    with pytest.raises(GridError, match="strictly increasing and finite"):
+        Control.from_table(times, np.zeros((len(times), len(times))))
+
+
 def test_table_control_rejects_off_grid_queries():
     times = np.array([0.0, 1.0, 2.0])
     ctrl = Control.from_table(times, np.zeros((3, 3)))
