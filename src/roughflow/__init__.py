@@ -6,7 +6,7 @@ Layers, bottom up:
   p-variation, the rough Gronwall bound;
 * :mod:`roughflow.roughpath` — level-2 rough paths (lifts, Chen bookkeeping,
   fBm sampling, reversal, CSV round trips) and driver bundles;
-* :mod:`roughflow.fields` — periodic vorticity grids, Biot-Savart, mollifiers,
+* :mod:`roughflow.fields` — periodic vorticity grids, Biot-Savart,
   interpolation/deposition, divergence-free field catalog;
 * :mod:`roughflow.flow` — Davie-scheme particle flows (forward/inverse/
   vorticity-coupled);
@@ -54,7 +54,6 @@ from .fields import (
     VectorField,
     VorticityGrid,
     biot_savart,
-    curl,
     deposit,
     field_from_spec,
     gamma,
@@ -63,7 +62,6 @@ from .fields import (
     kernel_log_lipschitz_check,
     load_field_binary,
     load_field_csv,
-    mollify,
     save_field_binary,
     save_field_csv,
     vorticity_from_modes,
@@ -126,9 +124,9 @@ __all__ = [
     "sample_fbm", "variation_control", "difference_variation_control",
     "save_rough_path_csv", "load_rough_path_csv",
     "VectorField", "ConstantField", "ShearField", "GradPerpField", "SumField",
-    "field_from_spec", "VorticityGrid", "biot_savart", "curl", "deposit",
+    "field_from_spec", "VorticityGrid", "biot_savart", "deposit",
     "gamma", "interpolate", "interpolate_velocity", "kernel_log_lipschitz_check",
-    "mollify", "vorticity_from_modes", "save_field_csv", "load_field_csv",
+    "vorticity_from_modes", "save_field_csv", "load_field_csv",
     "save_field_binary", "load_field_binary",
     "ZeroDrift", "SteadyDrift", "CallableDrift", "GridDrift", "as_drift",
     "ParticleFlow", "FlowProblem", "FlowTrajectory", "davie_step", "solve_flow",

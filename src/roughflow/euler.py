@@ -72,8 +72,8 @@ class EulerState:
 
     ``vorticity`` is the cloud-in-cell deposit of the particle weights (its
     mean equals the particle mean to rounding); ``velocity`` is the
-    Biot-Savart field of the mean-free (optionally mollified) deposit — the
-    same field the particles felt over the step starting at ``time``.
+    Biot-Savart field of the mean-free deposit — the same field the particles
+    felt over the step starting at ``time``.
     """
 
     time: float
@@ -135,16 +135,15 @@ _DEPOSITION_TOL = 0.25
 
 def solve_rough_euler(w0: VorticityGrid, driver: DriverPair, step_times, *,
                       particles_per_side: int | None = None,
-                      interpolation: str = "cubic",
-                      mollify_eta: float | None = None,
                       store_times=None) -> EulerTrajectory:
     """Advance bounded vorticity along the rough characteristics.
 
     Per step: deposit particle weights → subtract the (transport-invariant)
-    mean → optionally mollify → Biot-Savart velocity → freeze that field and
-    take one rough step of the particles.  The mean only leaves the velocity
-    solve; the particles keep carrying it, so every deposited snapshot has
-    the full mean back.  Each stored state reuses the grids the march computed.
+    mean → Biot-Savart velocity → freeze that field (cubic interpolation,
+    :class:`~roughflow.flow.GridDrift`) and take one rough step of the
+    particles.  The mean only leaves the velocity solve; the particles keep
+    carrying it, so every deposited snapshot has the full mean back.  Each
+    stored state reuses the grids the march computed.
 
     Args:
         w0: initial vorticity (any bounded grid sample; particle weights are
@@ -165,7 +164,6 @@ def solve_rough_euler(w0: VorticityGrid, driver: DriverPair, step_times, *,
             "build the driver with sign_convention=-1")
     traj = solve_nonlocal_flow(
         w0, driver, step_times, particles_per_side=particles_per_side,
-        interpolation=interpolation, mollify_eta=mollify_eta,
         store_times=store_times)
 
     initial_sup = float(np.abs(traj.flows[0].weights).max())
@@ -338,7 +336,7 @@ class FourierTestFunctions:
     """A frozen band-limited family of test functions with dual-norm data.
 
     For each wavevector the family holds ``cos(k·x)`` and ``sin(k·x)`` on the
-    grid, their analytic gradients, and two normalizations:
+    grid and two normalizations:
 
     * ``w1_norms`` — ``max(1, |k₁|, |k₂|)``, the W^{1,∞} norm; dividing
       pairings by it yields the negative-first-order dual proxy used for the
@@ -374,15 +372,9 @@ class FourierTestFunctions:
         x = nodes_1d(N)
         X1, X2 = np.meshgrid(x, x, indexing="ij")
         theta = ks[:, 0, None, None] * X1 + ks[:, 1, None, None] * X2
-        cos, sin = np.cos(theta), np.sin(theta)
         # layout: all cosines, then all sines
         self.wavevectors = np.concatenate([ks, ks])          # (F, 2)
-        self.values = np.concatenate([cos, sin])             # (F, N, N)
-        grad_cos = np.stack([-ks[:, 0, None, None] * sin,
-                             -ks[:, 1, None, None] * sin], axis=1)
-        grad_sin = np.stack([ks[:, 0, None, None] * cos,
-                             ks[:, 1, None, None] * cos], axis=1)
-        self.gradients = np.concatenate([grad_cos, grad_sin])  # (F, 2, N, N)
+        self.values = np.concatenate([np.cos(theta), np.sin(theta)])  # (F, N, N)
         self.labels = ([f"cos({a},{b})" for a, b in ks]
                        + [f"sin({a},{b})" for a, b in ks])
         kk = np.abs(self.wavevectors).astype(float)
@@ -609,11 +601,13 @@ def _fit_slope(x, y) -> float:
 # the ledger's snapshot subgrid holds at most this many stored snapshots
 _LEDGER_GRID_CAP = 129
 
+# relative Richardson disagreement of the drift's time quadrature beyond which
+# the ledger refuses the snapshot grid
+_QUADRATURE_TOL = 0.05
+
 
 def weak_remainder(trajectory: EulerTrajectory, *,
-                   threshold: float | None = None,
-                   quadrature_tol: float = 0.05,
-                   interpolation: str = "cubic") -> WeakRemainder:
+                   threshold: float | None = None) -> WeakRemainder:
     """Expand solution increments against the dual family; isolate the remainder.
 
     Every pairing is a particle quadrature of the transported measure
@@ -621,11 +615,12 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     exactly — so the tables see the time structure of the solution rather
     than the ``O(h²)`` deposition error of the grid snapshots (which would
     bury the third-order remainder at any affordable resolution).  The
-    velocity still comes from the stored grids, interpolated to the
-    particles.  Each snapshot builds one ``cos(k·x)`` and one ``sin(k·x)``
-    table at its particles; the weights, velocities and coefficient fields are
-    contracted into rows that meet those two tables in two contractions over
-    the particles (``einsum``, not BLAS; see :func:`_particle_pairings`), and
+    velocity still comes from the stored grids, cubically interpolated to
+    the particles (:func:`~roughflow.fields.interpolate_velocity`, the
+    interpolation the march froze).  Each snapshot builds one ``cos(k·x)``
+    and one ``sin(k·x)`` table at its particles; the weights, velocities and
+    coefficient fields are contracted into rows that meet those two tables
+    in two contractions over the particles (``einsum``, not BLAS; see :func:`_particle_pairings`), and
     every pairing (``ψ``, ``u·∇ψ``, ``σ_j·∇ψ``, ``σ_i·∇(σ_j·∇ψ)``) is a
     k-factor combination of the results.
 
@@ -639,8 +634,8 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     value.
 
     Raises:
-        QuadratureError: the half-grid trapezoid disagrees beyond
-            ``quadrature_tol`` (relative) — store snapshots more densely.
+        QuadratureError: the half-grid trapezoid disagrees beyond 5%
+            (relative) — store snapshots more densely.
         GridError: fewer than three snapshots.
     """
     if len(trajectory) < 3:
@@ -665,7 +660,7 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     PSS = np.empty((n, M, M, F))
     for k, s in enumerate(states):
         pos = s.particles.positions
-        u_p = interpolate_velocity(s.velocity, pos, method=interpolation)
+        u_p = interpolate_velocity(s.velocity, pos)
         P[k], G[k], PS[k], PSS[k] = _particle_pairings(
             fam, sigmas, pos, s.particles.weights, u_p)
 
@@ -682,7 +677,7 @@ def weak_remainder(trajectory: EulerTrajectory, *,
                        np.cumsum(0.5 * np.diff(th)[:, None] * (Gh[:-1] + Gh[1:]), axis=0)])
     mu_scale = max(float(np.abs(mu).max()), 1e-12 * max(1.0, float(np.abs(G).max())))
     quad_err = float(np.abs(cum_h - cum[idx_half]).max()) / 3.0
-    if n >= 5 and quad_err > quadrature_tol * mu_scale:
+    if n >= 5 and quad_err > _QUADRATURE_TOL * mu_scale:
         raise QuadratureError(
             f"time quadrature of the drift is under-resolved: Richardson "
             f"disagreement {quad_err:.3e} vs scale {mu_scale:.3e} "

@@ -3,10 +3,9 @@
 Grid convention: ``values[i, j] = f(2πi/N, 2πj/N)`` — axis 0 is the x₁
 direction, axis 1 is x₂, and ``N`` is a power of two.  Spectral work uses
 ``numpy.fft`` with integer wavenumbers ``k = fftfreq(N, 1/N)``: complex
-transforms for spectra that are read or multiplied (Biot-Savart, curl,
-mollification, trigonometric interpolation), and the real pair
-``rfft2``/``irfft2`` on the half-spectrum for the zero-padded upsampling
-behind cubic interpolation.
+transforms for spectra that are read or multiplied (Biot-Savart,
+trigonometric interpolation), and the real pair ``rfft2``/``irfft2`` on the
+half-spectrum for the zero-padded upsampling behind cubic interpolation.
 
 The module provides
 
@@ -16,8 +15,7 @@ The module provides
 * :class:`VorticityGrid` plus the Biot-Savart velocity reconstruction,
 * grid ↔ particle transfer: trig/cubic interpolation and bilinear
   (cloud-in-cell) deposition,
-* compactly supported mollification and the log-Lipschitz modulus γ with its
-  quadrature-based kernel check.
+* the log-Lipschitz modulus γ with its quadrature-based kernel check.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ from .errors import GridError, HypothesisError, QuadratureError, UndersamplingEr
 
 __all__ = [
     "VectorField", "ConstantField", "ShearField", "GradPerpField", "SumField",
-    "field_from_spec", "VorticityGrid", "biot_savart", "curl",
+    "field_from_spec", "VorticityGrid", "biot_savart",
     "gamma", "kernel_log_lipschitz_check", "KernelCheckResult",
-    "mollify", "interpolate", "interpolate_velocity", "deposit", "torus_distance",
+    "interpolate", "interpolate_velocity", "deposit", "torus_distance",
     "BIOT_SAVART_LOG_LIPSCHITZ_CONSTANT",
     "vorticity_from_modes", "save_field_csv", "load_field_csv",
     "save_field_binary", "load_field_binary",
@@ -69,10 +67,6 @@ class VectorField:
 
     def c_norm(self, order: int) -> float:
         raise NotImplementedError
-
-    def advected_by(self, other: "VectorField", points: np.ndarray) -> np.ndarray:
-        """``(other·∇) self`` at ``points``: component a is Σ_b other^b ∂_b self^a."""
-        return np.einsum("...ab,...b->...a", self.gradient(points), other(points))
 
 
 class ConstantField(VectorField):
@@ -329,14 +323,6 @@ def biot_savart(w: VorticityGrid) -> np.ndarray:
     return np.stack([u1, u2])
 
 
-def curl(u: np.ndarray) -> VorticityGrid:
-    """∂₁u₂ − ∂₂u₁ of a grid velocity field, computed spectrally."""
-    N = u.shape[-1]
-    k1, k2 = wavenumbers(N)
-    w_hat = 1j * k1 * np.fft.fft2(u[1]) - 1j * k2 * np.fft.fft2(u[0])
-    return VorticityGrid(np.fft.ifft2(w_hat).real)
-
-
 # ---------------------------------------------------------------------------
 # log-Lipschitz modulus and the kernel check
 # ---------------------------------------------------------------------------
@@ -487,55 +473,14 @@ def kernel_log_lipschitz_check(x, x_prime, resolution: int = 256) -> KernelCheck
 
 
 # ---------------------------------------------------------------------------
-# mollification
-# ---------------------------------------------------------------------------
-
-def mollify(field, eta: float):
-    """Convolve with the compact bump of radius ``eta``, normalized on the grid.
-
-    The kernel is ``exp(−1/(1 − |z/η|²))`` inside ``|z| < η`` (nearest-image),
-    zero outside, divided by its discrete sum — so the convolution is a convex
-    combination of samples: the grid mean is preserved and the sup norm never
-    increases, both to rounding.
-
-    Args:
-        field: a :class:`VorticityGrid` or a plain ``(N, N)`` array (the
-            return type matches).
-        eta: mollification radius in ``(0, 1]``.
-
-    Raises:
-        HypothesisError: ``eta`` outside ``(0, 1]``.
-        UndersamplingError: ``eta`` smaller than two grid cells (the bump
-            would fall between nodes).
-    """
-    values = field.values if isinstance(field, VorticityGrid) else np.asarray(field, float)
-    N = values.shape[0]
-    h = TWO_PI / N
-    if not (0.0 < eta <= 1.0):
-        raise HypothesisError(f"mollification radius must be in (0, 1], got {eta}")
-    if eta < 2.0 * h:
-        raise UndersamplingError(
-            f"eta = {eta:g} is below the grid resolution (need >= {2 * h:g} at N = {N})")
-    z = _nearest_image(nodes_1d(N))
-    R2 = (z[:, None] ** 2 + z[None, :] ** 2) / eta ** 2
-    with np.errstate(divide="ignore", over="ignore"):
-        kernel = np.where(R2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - R2, 1e-300)), 0.0)
-    kernel /= kernel.sum()
-    out = np.fft.ifft2(np.fft.fft2(values) * np.fft.fft2(kernel)).real
-    return VorticityGrid(out) if isinstance(field, VorticityGrid) else out
-
-
-# ---------------------------------------------------------------------------
 # interpolation (grid → points) and deposition (points → grid)
 # ---------------------------------------------------------------------------
 
-# refinement of the zero-padded grid behind cubic interpolation, here and in
-# GridDrift
+# refinement of the zero-padded grid behind cubic interpolation
 _CUBIC_UPSAMPLE = 4
 
 
-def interpolate(field, points, method: str = "spectral",
-                upsample: int = _CUBIC_UPSAMPLE):
+def interpolate(field, points, method: str = "spectral"):
     """Evaluate a grid field at arbitrary torus points.
 
     Methods:
@@ -545,47 +490,43 @@ def interpolate(field, points, method: str = "spectral",
             On a tensor lattice of ``n × n`` points the interpolant is
             separable, O(n·N² + n²·N) in all, and
             :meth:`~roughflow.flow.ParticleFlow.lattice` evaluates it so.
-        ``"cubic"``: real-FFT zero-padding to an ``upsample×`` finer grid
-            followed by periodic Catmull-Rom — the fast path used inside
-            particle loops (error ~(k/(3·upsample·N))³ per mode k).  With
-            ``upsample > 1`` the grid side must be even.
+        ``"cubic"``: real-FFT zero-padding to a 4× finer grid followed by
+            periodic Catmull-Rom — the kernel of :func:`interpolate_velocity`
+            and :class:`~roughflow.flow.GridDrift` (error ~(k/(12·N))³ per
+            mode k).  The grid side must be even.
 
     Returns an array shaped like ``points`` without its last axis.
     """
     values = field.values if isinstance(field, VorticityGrid) else np.asarray(field, float)
-    pts = np.asarray(points, dtype=float)
-    return _interp_components(_interp_grids([values], method, upsample), pts,
-                              method)[0, ...]
+    if method == "spectral":
+        kernel, grids = _interp_spectral, [values]
+    elif method == "cubic":
+        kernel, grids = _interp_cubic, _cubic_grids([values])
+    else:
+        raise GridError(f"unknown interpolation method {method!r}")
+    return _interp_components(kernel, grids, points)[0, ...]
 
 
-def _interp_grids(values, method: str, upsample: int) -> list:
-    """What :func:`_interp_components` reads for ``method``: the ``(N, N)``
-    grids themselves for ``"spectral"``, their wrap-padded ``upsample×``
-    grids (:func:`_padded_upsample`) for ``"cubic"``."""
-    if method != "cubic":
-        return list(values)
-    if upsample < 1:
-        raise GridError("upsample factor must be a positive integer")
-    return [_padded_upsample(c, upsample) for c in values]
+def _cubic_grids(values) -> list:
+    """The wrap-padded 4× grid (:func:`_padded_upsample`) of each ``(N, N)``
+    grid in ``values``: what :func:`_interp_cubic` reads."""
+    return [_padded_upsample(c, _CUBIC_UPSAMPLE) for c in values]
 
 
-def _interp_components(grids, pts: np.ndarray, method: str) -> np.ndarray:
-    """Each grid of ``grids`` (from :func:`_interp_grids`) at ``pts``, shape
-    ``(C,) + pts.shape[:-1]``.
+def _interp_components(kernel, grids, points) -> np.ndarray:
+    """``kernel(grids, x)`` at ``points`` reduced to ``[0, 2π)²``, shape
+    ``(C,) + points.shape[:-1]``.
 
-    The point stencil is built once and shared by every component; each
-    component's result equals a one-component call bit for bit.
+    ``kernel`` is :func:`_interp_spectral` on ``(N, N)`` grids or
+    :func:`_interp_cubic` on :func:`_cubic_grids`.  The point stencil is
+    built once and shared by every component; each component's result
+    equals a one-component call bit for bit.
     """
+    pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 2:
         raise GridError("points must have a trailing axis of size 2")
     flat = _mod_two_pi(pts.reshape(-1, 2))
-    if method == "spectral":
-        out = _interp_spectral(grids, flat)
-    elif method == "cubic":
-        out = _interp_cubic(grids, flat)
-    else:
-        raise GridError(f"unknown interpolation method {method!r}")
-    return out.reshape((len(grids),) + pts.shape[:-1])
+    return kernel(grids, flat).reshape((len(grids),) + pts.shape[:-1])
 
 
 def _phase_table(x: np.ndarray, N: int) -> np.ndarray:
@@ -728,16 +669,20 @@ def _interp_cubic(padded, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def interpolate_velocity(u: np.ndarray, points, method: str = "cubic",
-                         upsample: int = _CUBIC_UPSAMPLE) -> np.ndarray:
-    """Componentwise interpolation of a ``(2, N, N)`` velocity field.
+def interpolate_velocity(u: np.ndarray, points) -> np.ndarray:
+    """Cubic interpolation of a ``(2, N, N)`` velocity field at ``points``,
+    shape ``points.shape``.
 
     Both components share one point stencil; each equals its own
-    :func:`interpolate` call bit for bit.
+    ``interpolate(..., method="cubic")`` call bit for bit.
     """
-    pts = np.asarray(points, dtype=float)
-    return np.stack(_interp_components(_interp_grids([u[0], u[1]], method, upsample),
-                                       pts, method), axis=-1)
+    return _cubic_velocity(_cubic_grids(u), points)
+
+
+def _cubic_velocity(grids, points) -> np.ndarray:
+    """The two :func:`_cubic_grids` of a velocity field at ``points``,
+    stacked on a trailing axis."""
+    return np.stack(_interp_components(_interp_cubic, grids, points), axis=-1)
 
 
 def deposit(positions, weights, resolution: int) -> VorticityGrid:

@@ -12,12 +12,12 @@ estimates.
 
 Drifts are pluggable: ``None``, a catalog :class:`~roughflow.fields.VectorField`,
 a plain callable ``fn(t, positions)``, or time-stamped grid snapshots
-(:class:`GridDrift`).  Grid drifts report their sup norm and a sampled
-log-Lipschitz constant against the modulus γ.
+evaluated by cubic interpolation (:class:`GridDrift`).  Grid drifts report
+their sup norm and a sampled log-Lipschitz constant against the modulus γ.
 
-Both forward solvers share one march loop with a per-node hook: the flow
-solver tracks diagnostic particles there, the nonlocal solver freezes the
-Biot-Savart drift and keeps the grids of stored nodes.
+Both forward solvers share one march loop with a per-node hook, its one
+observer: the flow solver tracks diagnostic particles there, the nonlocal
+solver freezes the Biot-Savart drift and keeps the grids of stored nodes.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ import numpy as np
 
 from .errors import GridError, HypothesisError, StepSizeError
 from .fields import (
-    _CUBIC_UPSAMPLE,
     TWO_PI,
     VectorField,
     VorticityGrid,
-    _interp_components,
-    _interp_grids,
+    _cubic_grids,
+    _cubic_velocity,
     _interp_spectral_lattice,
     _mod_two_pi,
     _nearest_image,
@@ -45,7 +44,6 @@ from .fields import (
     biot_savart,
     deposit,
     gamma,
-    mollify,
 )
 from .roughpath import DriverPair, _control_from_pair_tables, \
     difference_variation_control, reverse_rough_path
@@ -173,13 +171,9 @@ class GridDrift:
     A single snapshot is treated as a steady field (no time range); with two
     or more, evaluation outside ``[t_0, t_last]`` is an error.
 
-    Spatial evaluation is periodic cubic interpolation on an FFT-upsampled
-    grid (upsampled and wrap-padded once at construction) or exact
-    trigonometric interpolation with ``interpolation="spectral"``; any other
-    ``interpolation`` is a :class:`GridError`.  An optional ``mollify_eta``
-    convolves every snapshot with the compact bump on construction — the
-    mollified-drift variant used by the existence-proof convergence
-    experiment.
+    Spatial evaluation is periodic cubic interpolation on a 4× FFT-upsampled
+    grid, upsampled and wrap-padded once at construction: bitwise what
+    :func:`~roughflow.fields.interpolate_velocity` gives on the snapshot.
 
     ``sup_norm`` reports the grid max; between nodes the interpolant may
     exceed it by up to the documented overshoot factor, which contract checks
@@ -188,11 +182,7 @@ class GridDrift:
 
     sup_overshoot = _INTERP_OVERSHOOT
 
-    def __init__(self, times, snapshots, *, interpolation: str = "cubic",
-                 mollify_eta: float | None = None):
-        if interpolation not in ("cubic", "spectral"):
-            raise GridError(f"unknown drift interpolation {interpolation!r}; "
-                            f"use 'cubic' or 'spectral'")
+    def __init__(self, times, snapshots):
         self.times = _as_times(times)
         snaps = [np.asarray(s, dtype=float) for s in snapshots]
         if len(snaps) != self.times.size:
@@ -200,12 +190,9 @@ class GridDrift:
         for s in snaps:
             if s.ndim != 3 or s.shape[0] != 2 or s.shape[1] != s.shape[2]:
                 raise GridError("drift snapshots must have shape (2, N, N)")
-        if mollify_eta is not None:
-            snaps = [np.stack([mollify(c, mollify_eta) for c in s]) for s in snaps]
-        self.interpolation = interpolation
         self.sup_norm = max(float(np.abs(s).max()) for s in snaps)
         self.log_lipschitz: float | None = None
-        self._grids = [_interp_grids(s, interpolation, _CUBIC_UPSAMPLE) for s in snaps]
+        self._grids = [_cubic_grids(s) for s in snaps]
 
     def _index(self, t: float) -> int:
         if self.times.size == 1:
@@ -218,10 +205,7 @@ class GridDrift:
                    self.times.size - 1)
 
     def velocity(self, t, positions):
-        k = self._index(float(t))
-        pts = np.asarray(positions, dtype=float)
-        return np.stack(_interp_components(self._grids[k], pts, self.interpolation),
-                        axis=-1)
+        return _cubic_velocity(self._grids[self._index(float(t))], positions)
 
     def measure_log_lipschitz(self) -> float:
         """Sampled sup of ``|u(t,x)−u(t,y)| / γ(d(x,y))`` at every snapshot
@@ -388,8 +372,6 @@ class FlowProblem:
     def __post_init__(self):
         self.drift = as_drift(self.drift)
         self.step_times = _as_times(self.step_times)
-        if np.any(np.diff(self.step_times) <= 0):
-            raise GridError("step grid must be strictly increasing")
         rp = self.driver.rough_path
         tol = _time_tol(rp.times)
         if self.step_times[0] < rp.times[0] - tol or self.step_times[-1] > rp.times[-1] + tol:
@@ -711,18 +693,15 @@ def solve_inverse_flow(problem: FlowProblem, t: float | None = None
 
 def solve_nonlocal_flow(w0: VorticityGrid, driver: DriverPair, step_times, *,
                         particles_per_side: int | None = None,
-                        interpolation: str = "cubic",
-                        mollify_eta: float | None = None,
-                        store_times=None, drift_callback=None) -> FlowTrajectory:
+                        store_times=None) -> FlowTrajectory:
     """Self-consistent flow whose drift is the Biot-Savart velocity of the
     transported vorticity.
 
     At each step node the march deposits the particle weights, solves for the
-    velocity spectrally (optionally mollifying the mean-free deposit first),
-    freezes that field over the step, and advances with :func:`davie_step`.
-    ``grids`` keeps the ``(deposit, velocity)`` pair of every stored node (the
-    last node's is computed only when stored).  ``drift_callback(t,
-    velocity_grid)``, when given, observes every frozen drift field.
+    Biot-Savart velocity of the mean-free deposit spectrally, freezes that
+    field over the step as a cubic :class:`GridDrift`, and advances with
+    :func:`davie_step`.  ``grids`` keeps the ``(deposit, velocity)`` pair of
+    every stored node (the last node's is computed only when stored).
 
     The march never calls :meth:`FlowProblem.check`: its problem starts from a
     zero drift, so the check would verify nothing, and the contract of the
@@ -742,16 +721,12 @@ def solve_nonlocal_flow(w0: VorticityGrid, driver: DriverPair, step_times, *,
             return None
         w = deposit(pos, initial.weights, N)
         centered = VorticityGrid(w.values - w.mean)  # keep Biot-Savart solvable
-        if mollify_eta is not None:
-            centered = mollify(centered, mollify_eta)
         u = biot_savart(centered)
         if stored:
             grids.append((w, u))
         if k == last:
             return None
-        if drift_callback is not None:
-            drift_callback(st[k], u)
-        return GridDrift([st[k]], [u], interpolation=interpolation)
+        return GridDrift([st[k]], [u])
 
     traj = _march(problem, store_times, freeze_drift)
     traj.grids = grids

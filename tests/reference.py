@@ -94,6 +94,69 @@ def grid_w11(values):
     return grid_l1(vals) + grid_l1(d1) + grid_l1(d2)
 
 
+def curl(u):
+    """∂₁u₂ − ∂₂u₁ of a grid velocity field ``u`` of shape (2, N, N), computed
+    spectrally, as a :class:`~roughflow.fields.VorticityGrid`."""
+    from roughflow.fields import VorticityGrid
+
+    n = u.shape[-1]
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    w_hat = (1j * k[:, None] * np.fft.fft2(u[1])
+             - 1j * k[None, :] * np.fft.fft2(u[0]))
+    return VorticityGrid(np.fft.ifft2(w_hat).real)
+
+
+def mollify(field, eta):
+    """Convolve with the compact bump of radius ``eta``, normalized on the grid.
+
+    The kernel is ``exp(−1/(1 − |z/η|²))`` inside ``|z| < η`` (nearest-image),
+    zero outside, divided by its discrete sum — so the convolution is a convex
+    combination of samples: the grid mean is preserved and the sup norm never
+    increases, both to rounding.  ``field`` is a
+    :class:`~roughflow.fields.VorticityGrid` or a plain ``(N, N)`` array (the
+    return type matches).
+
+    Raises:
+        HypothesisError: ``eta`` outside ``(0, 1]``.
+        UndersamplingError: ``eta`` smaller than two grid cells (the bump
+            would fall between nodes).
+    """
+    from roughflow.errors import HypothesisError, UndersamplingError
+    from roughflow.fields import TWO_PI, VorticityGrid, _nearest_image, nodes_1d
+
+    values = field.values if isinstance(field, VorticityGrid) else np.asarray(field, float)
+    n = values.shape[0]
+    h = TWO_PI / n
+    if not (0.0 < eta <= 1.0):
+        raise HypothesisError(f"mollification radius must be in (0, 1], got {eta}")
+    if eta < 2.0 * h:
+        raise UndersamplingError(
+            f"eta = {eta:g} is below the grid resolution (need >= {2 * h:g} at N = {n})")
+    z = _nearest_image(nodes_1d(n))
+    R2 = (z[:, None] ** 2 + z[None, :] ** 2) / eta ** 2
+    with np.errstate(divide="ignore", over="ignore"):
+        kernel = np.where(R2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - R2, 1e-300)), 0.0)
+    kernel /= kernel.sum()
+    out = np.fft.ifft2(np.fft.fft2(values) * np.fft.fft2(kernel)).real
+    return VorticityGrid(out) if isinstance(field, VorticityGrid) else out
+
+
+def advected_by(field, other, points):
+    """``(other·∇) field`` at ``points``: component a is Σ_b other^b ∂_b field^a,
+    from the catalog fields' analytic gradients."""
+    return np.einsum("...ab,...b->...a", field.gradient(points), other(points))
+
+
+def geometric_symmetry_defect(rp):
+    """Max relative defect of Sym 𝕫 = ½ Z⊗Z over the consecutive segments of
+    the rough path ``rp``; zero (to rounding) for a geometric lift."""
+    dZ = np.diff(rp.values, axis=0)
+    sym = 0.5 * (rp.segment_area + np.swapaxes(rp.segment_area, 1, 2))
+    target = 0.5 * np.einsum("ka,kb->kab", dZ, dZ)
+    scale = max(float(np.abs(target).max()), 1e-300)
+    return float(np.abs(sym - target).max()) / scale
+
+
 def spectral_divergence(u):
     """Max |∇·u| of a grid velocity field ``u`` of shape (2, N, N), with
     spectral derivatives."""
@@ -178,18 +241,15 @@ def all_windows_dp_by_rows(norms_pow, mask):
     return V
 
 
-def euler_grids_by_redeposit(flows, resolution, mollify_eta=None):
+def euler_grids_by_redeposit(flows, resolution):
     """``(deposit, velocity)`` of each ensemble, deposited and solved afresh:
-    the mean-free (optionally mollified) deposit's Biot-Savart field."""
-    from roughflow.fields import VorticityGrid, biot_savart, deposit, mollify
+    the mean-free deposit's Biot-Savart field."""
+    from roughflow.fields import VorticityGrid, biot_savart, deposit
 
     out = []
     for flow in flows:
         w = deposit(flow.positions, flow.weights, resolution)
-        centered = VorticityGrid(w.values - w.mean)
-        if mollify_eta is not None:
-            centered = mollify(centered, mollify_eta)
-        out.append((w, biot_savart(centered)))
+        out.append((w, biot_savart(VorticityGrid(w.values - w.mean))))
     return out
 
 

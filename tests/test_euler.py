@@ -86,9 +86,15 @@ class TestFourierFamily:
         lattice = np.stack([X.ravel(), Y.ravel()], axis=1)
         assert np.array_equal(fam.at_points(lattice).reshape(fam.size, 32, 32),
                               fam.values)
+        # analytic gradients on the grid: ∇cos(k·x) = −k sin(k·x) and
+        # ∇sin(k·x) = k cos(k·x), members laid out all cosines, then all sines
+        K = fam.size // 2
+        k = fam.wavevectors[:K, :, None, None]
+        cos, sin = fam.values[:K], fam.values[K:]
+        grid_gradients = np.concatenate([-k * sin[:, None], k * cos[:, None]])
         assert np.array_equal(
             fam.gradients_at(lattice).reshape(fam.size, 2, 32, 32),
-            fam.gradients)
+            grid_gradients)
 
     def test_gradients_and_hessians_match_finite_differences(self):
         fam = FourierTestFunctions(32)
@@ -291,11 +297,6 @@ class TestRoughEulerSolver:
         with pytest.raises(HypothesisError):
             solve_rough_euler(shear_mode(16), forward, np.linspace(0.0, 1.0, 5))
 
-    def test_rejects_unknown_interpolation(self):
-        with pytest.raises(GridError, match="'linear'"):
-            solve_rough_euler(shear_mode(16), zero_driver(), np.linspace(0.0, 1.0, 5),
-                              interpolation="linear")
-
     def test_store_times_subset(self):
         run = solve_rough_euler(shear_mode(16), zero_driver(),
                                 np.linspace(0.0, 1.0, 9), store_times=[0.0, 0.5, 1.0])
@@ -327,15 +328,15 @@ class TestRoughEulerSolver:
         assert len(run) == (9 if store_times == "steps" else
                             2 if store_times is None else len(store_times))
 
-    @pytest.mark.parametrize("mollify_eta", [None, 0.5])
-    def test_states_equal_a_fresh_deposit_and_solve(self, mollify_eta):
+    @pytest.mark.parametrize("particles_per_side", [None, 48])
+    def test_states_equal_a_fresh_deposit_and_solve(self, particles_per_side):
         driver = scalar_brownian_driver(ShearField(0.4, 1, 0), n_seg=8, seed=4,
                                         scale=0.4)
         w0 = vorticity_from_modes([(1, 0, 1.0), (2, 1, 0.5)], 32)
         run = solve_rough_euler(w0, driver, np.linspace(0.0, 1.0, 17),
-                                mollify_eta=mollify_eta, store_times="steps")
-        again = euler_grids_by_redeposit([s.particles for s in run], 32,
-                                         mollify_eta)
+                                particles_per_side=particles_per_side,
+                                store_times="steps")
+        again = euler_grids_by_redeposit([s.particles for s in run], 32)
         for state, (w, u) in zip(run, again, strict=True):
             assert np.array_equal(state.vorticity.values, w.values)
             assert np.array_equal(state.velocity, u)
@@ -453,7 +454,7 @@ class TestWeakRemainder:
                                         seed=0, scale=0.6)
         steps = np.linspace(0.0, 1.0, 65)
         traj, z = translated_trajectory(0.7, driver, steps)
-        result = weak_remainder(traj, interpolation="spectral")
+        result = weak_remainder(traj)
         column = result.test_functions.labels.index("cos(1,0)")
         for i, j in [(0, 64), (0, 32), (17, 50), (3, 5), (60, 64)]:
             expected = translated_mode_pairing_defect(0.7, z[i], z[j])
@@ -480,7 +481,7 @@ class TestWeakRemainder:
                                         seed=0, scale=0.6)
         steps = np.linspace(0.0, 1.0, 65)
         traj, z = translated_trajectory(c, driver, steps)
-        result = weak_remainder(traj, interpolation="spectral")
+        result = weak_remainder(traj)
         column = result.test_functions.labels.index("cos(1,0)")
         values = result.remainder_values[:, :, column]
         dz = np.abs(z[None, :] - z[:, None])
@@ -561,8 +562,7 @@ class TestWeakRemainder:
         from roughflow.fields import interpolate_velocity
         flux = []
         for state in run.states:
-            u_at = interpolate_velocity(state.velocity, state.particles.positions,
-                                        method="cubic")
+            u_at = interpolate_velocity(state.velocity, state.particles.positions)
             flux.append(fam.flux_pair_particles(state.particles.positions,
                                                 state.particles.weights, u_at))
         table = trapezoid_pair_integral(result.times, np.asarray(flux))
@@ -585,7 +585,7 @@ class TestWeakRemainder:
                   for k, t in enumerate(times)]
         traj = EulerTrajectory(states, driver, times, 1.0, 0.0, 0.0, 0.0)
         with pytest.raises(QuadratureError):
-            weak_remainder(traj, quadrature_tol=0.05)
+            weak_remainder(traj)
 
     def test_needs_three_snapshots(self):
         run = solve_rough_euler(shear_mode(16), zero_driver(),

@@ -19,7 +19,6 @@ from roughflow.fields import (
     biot_savart,
     interpolate,
     interpolate_velocity,
-    mollify,
     vorticity_from_modes,
 )
 from roughflow.flow import (
@@ -45,7 +44,7 @@ from roughflow.flow import (
 )
 from roughflow.roughpath import DriverPair, RoughPath, lift_piecewise_linear
 
-from reference import occupancy_chi_squared, rk4_flow, second_level_by_einsum
+from reference import mollify, occupancy_chi_squared, rk4_flow, second_level_by_einsum
 
 TWO_PI = 2.0 * math.pi
 
@@ -126,17 +125,6 @@ class TestDrifts:
         pts = rng.uniform(-1.0, 7.0, (40, 2))
         assert np.array_equal(gd.velocity(0.0, pts), interpolate_velocity(u, pts))
 
-    def test_grid_drift_spectral_is_exact_on_modes(self):
-        N = 16
-        x = np.arange(N) * TWO_PI / N
-        X1, X2 = np.meshgrid(x, x, indexing="ij")
-        u = np.stack([np.cos(3 * X2), np.sin(2 * X1)])
-        gd = GridDrift([0.0], [u], interpolation="spectral")
-        pts = np.random.default_rng(3).uniform(0, TWO_PI, (20, 2))
-        out = gd.velocity(0.0, pts)
-        assert np.abs(out[:, 0] - np.cos(3 * pts[:, 1])).max() < 1e-12
-        assert np.abs(out[:, 1] - np.sin(2 * pts[:, 0])).max() < 1e-12
-
     def test_grid_drift_time_selection_and_range(self):
         snaps = [np.full((2, 8, 8), 1.0), np.full((2, 8, 8), 2.0)]
         gd = GridDrift([0.0, 1.0], snaps)
@@ -161,14 +149,6 @@ class TestDrifts:
         # even side; an odd side fails up front, naming its shape
         with pytest.raises(GridError, match=r"\(5, 5\)"):
             GridDrift([0.0], [np.zeros((2, 5, 5))])
-        # spectral evaluation does not upsample and keeps odd grids
-        gd = GridDrift([0.0], [np.ones((2, 5, 5))], interpolation="spectral")
-        assert np.allclose(gd.velocity(0.0, np.full((3, 2), 0.7)), 1.0, atol=1e-14)
-
-    @pytest.mark.parametrize("name", ["Spectral", "linear"])
-    def test_grid_drift_rejects_unknown_interpolation(self, name):
-        with pytest.raises(GridError, match=repr(name)):
-            GridDrift([0.0], [np.zeros((2, 8, 8))], interpolation=name)
 
     def test_log_lipschitz_ratio_is_zero_without_separated_pairs(self):
         u = np.random.default_rng(1).standard_normal((4, 2))
@@ -753,17 +733,6 @@ class TestNonlocalFlow:
         expect = np.cos(X1 - 0.4 * Z1)
         assert np.abs(dep.values - expect).max() < 5e-3  # measured 3.1e-3
 
-    def test_callback_sees_every_frozen_drift(self):
-        N = 16
-        w0 = VorticityGrid(np.zeros((N, N)))
-        rp = brownian_driver(1, 8)
-        seen = []
-        solve_nonlocal_flow(w0, DriverPair(shear_sigma(), rp, -1), rp.times,
-                            particles_per_side=20,
-                            drift_callback=lambda t, u: seen.append((t, u.shape)))
-        assert len(seen) == 8
-        assert all(shape == (2, N, N) for _, shape in seen)
-
     def test_undersampled_ensemble_is_rejected(self):
         from roughflow.errors import UndersamplingError
         N = 32
@@ -796,11 +765,11 @@ class TestMollifiedDrift:
         etas = [0.8, 0.4, 0.2, 0.1]
         finals, fields = [], []
         for eta in etas:
-            gd = GridDrift([0.0], [u], mollify_eta=eta)
-            prob = FlowProblem(gd, DriverPair(shear_sigma(), rp, -1),
-                               init, rp.times)
+            mollified = np.stack([mollify(u[0], eta), mollify(u[1], eta)])
+            prob = FlowProblem(GridDrift([0.0], [mollified]),
+                               DriverPair(shear_sigma(), rp, -1), init, rp.times)
             finals.append(solve_flow(prob, check=False).final.positions)
-            fields.append(np.stack([mollify(u[0], eta), mollify(u[1], eta)]))
+            fields.append(mollified)
 
         horizon = 1.0
         prev = math.inf

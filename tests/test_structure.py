@@ -1,9 +1,11 @@
 """Source structure: shared helpers (torus, JSON, partition DP, admissibility)
 are defined exactly once, the option surface of the solver entry points is
-pinned, and every public name is reached by a claim or kept for a stated
-reason."""
+pinned and every option on it is set by a caller, every public name is
+reached by a claim or kept for a stated reason, and every layer the traced
+benchmark wraps exists."""
 
 import ast
+import importlib
 import inspect
 import pathlib
 
@@ -13,6 +15,7 @@ import roughflow
 from roughflow import euler, flow, roughpath, variation
 
 SOURCE = pathlib.Path(roughflow.__file__).resolve().parent
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 
 def defined_names(node):
@@ -92,22 +95,22 @@ def test_flow_draws_random_numbers_in_one_place():
     assert len(calls) == 1
 
 
-# Every parameter of these entry points is set by some caller; an option
-# that nothing sets is a constant instead.  Adding one is a deliberate edit.
+# The parameters of these entry points; adding one is a deliberate edit.
+# Each option (a parameter with a default) must be set by some call outside
+# the tests (test_every_option_is_set_by_a_caller): an option that only tests
+# set is a constant instead.
 PINNED_PARAMETERS = {
     euler.solve_rough_euler: ("w0", "driver", "step_times", "particles_per_side",
-                              "interpolation", "mollify_eta", "store_times"),
+                              "store_times"),
     flow.solve_nonlocal_flow: ("w0", "driver", "step_times", "particles_per_side",
-                               "interpolation", "mollify_eta", "store_times",
-                               "drift_callback"),
+                               "store_times"),
     euler.solve_viscous_reference: ("w0", "sigmas", "path", "nu", "dt",
                                     "store_times", "max_principle_tol"),
-    euler.weak_remainder: ("trajectory", "threshold", "quadrature_tol",
-                           "interpolation"),
+    euler.weak_remainder: ("trajectory", "threshold"),
     euler.solution_variation_diagnostic: ("trajectory", "remainder"),
     euler.save_run: ("trajectory", "root", "name", "binary", "config"),
     flow.CallableDrift: ("fn", "sup_norm", "log_lipschitz", "time_span"),
-    flow.GridDrift: ("times", "snapshots", "interpolation", "mollify_eta"),
+    flow.GridDrift: ("times", "snapshots"),
     flow.GridDrift.measure_log_lipschitz: ("self",),
     flow.FlowProblem.check: ("self",),
     flow.solve_flow: ("problem", "store_times", "diagnostic_particles", "check"),
@@ -129,6 +132,89 @@ def test_entry_point_parameters_are_pinned(entry):
     assert tuple(inspect.signature(entry).parameters) == PINNED_PARAMETERS[entry]
 
 
+# Options of pinned entry points that no call outside the tests sets, each
+# with the reason it stays.
+KEPT_OPTIONS = {
+    (flow.solve_flow, "diagnostic_particles"):
+        "the flow's measured a-priori variation estimate (FlowDiagnostics)",
+    (roughpath.RoughPath.chen_defect_scan, "n_triples"):
+        "sample size of the Chen check load_rough_path_csv runs; tests scan more",
+}
+
+
+def calls(paths):
+    """``(callee, call, enclosing)`` for every call in ``paths``: the name it
+    calls (``f`` of ``f(...)`` or ``x.f(...)``) and the names of the
+    definitions it lies inside."""
+    found = []
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            found.append((callee, node, enclosing))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), frozenset())
+    return found
+
+
+def unset_options():
+    """``(entry, option)`` for each option of a pinned entry point that no
+    call in ``src/roughflow`` (outside the entry's own definition), in the
+    harness, the CLI or ``bench/*.py`` passes, by keyword or by position.
+    Entry points in ``KEPT`` are exempt."""
+    sites = calls([*sorted(SOURCE.glob("*.py")), *sorted(BENCH.glob("*.py"))])
+    unset = set()
+    for entry in PINNED_PARAMETERS:
+        if entry.__name__ in KEPT:
+            continue
+        params = inspect.signature(entry).parameters
+        # a method is called on an instance, which fills ``self``
+        positional = [n for n, p in params.items() if n != "self" and p.kind in (
+            p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+
+        def passes(call, name):
+            return (any(k.arg == name for k in call.keywords)
+                    or name in positional and positional.index(name) < len(call.args))
+
+        for name, param in params.items():
+            if param.default is not param.empty and not any(
+                    callee == entry.__name__ and entry.__name__ not in enclosing
+                    and passes(call, name) for callee, call, enclosing in sites):
+                unset.add((entry, name))
+    return unset
+
+
+def test_every_option_is_set_by_a_caller():
+    unset = unset_options()
+    assert sorted(f"{e.__qualname__}.{n}" for e, n in unset - set(KEPT_OPTIONS)) == []
+    # a KEPT_OPTIONS entry is needed: some caller sets every other option
+    assert sorted(f"{e.__qualname__}.{n}" for e, n in set(KEPT_OPTIONS) - unset) == []
+
+
+def test_traced_layers_exist():
+    # bench/tracing.py wraps each (module, qualified name) of its LAYERS; a
+    # layer that is renamed or removed breaks only the traced benchmark run.
+    # Methods are looked up in the class's own namespace, as the tracer does.
+    tree = ast.parse((BENCH / "tracing.py").read_text())
+    layers = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"])
+    missing = []
+    for _, module, qualname in layers:
+        owner, _, name = qualname.rpartition(".")
+        scope = vars(importlib.import_module(module))
+        if owner:
+            scope = vars(scope[owner]) if owner in scope else {}
+        if not callable(scope.get(name)):
+            missing.append(f"{module}:{qualname}")
+    assert missing == []
+
+
 # Public names that no experiment, CLI command or bench workload reaches, each
 # with the reason it stays.  Everything else in ``roughflow.__all__`` must be
 # reached, so unused code cannot grow back unnoticed.
@@ -142,8 +228,7 @@ KEPT = {
     "save_particles_csv": "file format", "load_particles_csv": "file format",
     "save_particles_binary": "file format", "load_particles_binary": "file format",
     "save_run": "file format", "load_run": "file format",
-    "curl": "open: reached by tests only",
-    "interpolate": "open: reached by tests only",
+    "interpolate": "readout: w0 evaluated at the inverse-flow points φ_t⁻¹(x)",
     "kernel_log_lipschitz_check": "open: reached by tests only",
 }
 
@@ -175,9 +260,8 @@ def reached_names(roots):
 def test_every_public_name_is_reached():
     from roughflow import harness
 
-    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
     roots = set(KEPT) | {f"run_{name}" for name in harness.EXPERIMENTS}
-    for path in [SOURCE / "harness.py", SOURCE / "cli.py", *bench.glob("*.py")]:
+    for path in [SOURCE / "harness.py", SOURCE / "cli.py", *BENCH.glob("*.py")]:
         roots |= referenced_names(ast.parse(path.read_text(), str(path)))
     reached = reached_names(roots)
     assert [n for n in roughflow.__all__ if n not in reached] == []
