@@ -566,10 +566,18 @@ def _interp_spectral_lattice(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _padded_upsample(values: np.ndarray, r: int) -> np.ndarray:
     """The ``r×`` spectral upsample of ``values`` inside a wrap-padded buffer.
 
-    The result has shape ``(Nu + 4, Nu + 4)`` with ``Nu = r·N``: the fine
-    grid of :func:`_spectral_upsample` fills ``[1:Nu + 1, 1:Nu + 1]``, and
-    the border repeats it periodically, one row and column before and three
-    after (what ``np.pad(fine, ((1, 3), (1, 3)), mode="wrap")`` would give).
+    The upsample is zero-padded FFT upsampling with symmetric Nyquist
+    splitting (exact for band-limited input), on the real half-spectrum:
+    ``rfft2`` of the ``(N, N)`` input fills an ``(Nu, Nu/2 + 1)``
+    half-spectrum of the ``Nu = r·N`` grid, the Nyquist row and column are
+    split evenly between wavenumbers ``±N/2`` (the column at ``−N/2`` is
+    implied by Hermitian symmetry), and ``irfft2`` returns the real fine
+    grid, scaled by ``r²``; at ``r = 1`` the fine grid is the input.
+
+    The result has shape ``(Nu + 4, Nu + 4)``: the fine grid fills
+    ``[1:Nu + 1, 1:Nu + 1]`` (the view ``[1:-3, 1:-3]``), and the border
+    repeats it periodically, one row and column before and three after
+    (what ``np.pad(fine, ((1, 3), (1, 3)), mode="wrap")`` would give).
     The scaled ``irfft2`` result is written straight into the interior and
     the border is filled by slice copies, so no padded copy is made.
     ``irfft2`` itself gets no ``out=``: numpy 2.4.6 leaves wrong values in
@@ -604,23 +612,6 @@ def _padded_upsample(values: np.ndarray, r: int) -> np.ndarray:
     out[0] = out[Nu]
     out[Nu + 1:] = out[1:4]
     return out
-
-
-def _spectral_upsample(values: np.ndarray, r: int) -> np.ndarray:
-    """Zero-padded FFT upsampling with symmetric Nyquist splitting (exact for
-    band-limited input).
-
-    Works on the real half-spectrum: ``rfft2`` of the ``(N, N)`` input fills
-    an ``(Nu, Nu/2 + 1)`` half-spectrum of the ``Nu = r·N`` grid, the Nyquist
-    row and column are split evenly between wavenumbers ``±N/2`` (the column
-    at ``−N/2`` is implied by Hermitian symmetry), and ``irfft2`` returns the
-    real fine grid, scaled by ``r²``.  ``r = 1`` returns a copy of the input.
-    The result is the ``(Nu, Nu)`` interior view of :func:`_padded_upsample`.
-
-    Raises:
-        GridError: ``values`` is not square, or ``r > 1`` and its side is odd.
-    """
-    return _padded_upsample(values, r)[1:-3, 1:-3]
 
 
 def _interp_cubic(padded, pts: np.ndarray) -> np.ndarray:

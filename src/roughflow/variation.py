@@ -14,9 +14,10 @@ Conventions used throughout the package:
   One dynamic program computes them all: a Python loop over end nodes ``j``
   updates every requested start row ``i < j`` at once with
   ``V[i, j] = max_k V[i, k] + |g_{t_k, t_j}|^p`` over admissible last cells.
-  p-variation asks for start row 0 (O(n²) work); the all-windows tables
-  behind the rough-path controls ask for every row (O(n³) work, still one
-  loop of n steps).
+  p-variation asks for start row 0 (O(n²) work, over the turning nodes only
+  for a scalar path with p > 1, and over the admissible rows only under a
+  localization); the all-windows tables behind the rough-path controls ask
+  for every row (O(n³) work, still one loop of n steps).
 
 Increment inputs come in two forms:
 
@@ -55,6 +56,9 @@ SUPERADDITIVITY_ABS_TOL = 1e-12
 SUPERADDITIVITY_REL_TOL = 1e-10
 
 _TIME_MATCH_RTOL = 1e-9
+
+#: log of the largest float: ``np.exp`` is finite up to it and overflows above
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _as_times(times) -> np.ndarray:
@@ -137,11 +141,16 @@ class Control:
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr - s_arr < -_time_tol(self.times)):
             raise GridError("control evaluated with s > t")
-        out = np.asarray(self._evaluate(np.minimum(s_arr, t_arr), np.maximum(s_arr, t_arr)),
-                         dtype=float)
+        out = self._ordered(np.minimum(s_arr, t_arr), np.maximum(s_arr, t_arr))
         if out.ndim == 0:
             return float(out)
         return out
+
+    def _ordered(self, s, t) -> np.ndarray:
+        """``ω(s, t)`` as a float array for arguments already ordered
+        ``s <= t``, unchecked: the admissibility columns of the partition DP,
+        whose rows precede their end node on a strictly increasing grid."""
+        return np.asarray(self._evaluate(s, t), dtype=float)
 
     def pair_table(self, times=None) -> np.ndarray:
         """Dense table ``T[i, j] = ω(t_i, t_j)`` over ``times`` (upper triangle)."""
@@ -280,12 +289,37 @@ def _sample_rows(values) -> np.ndarray:
     """One-index samples as a float ``(n+1, d)`` array (trailing axes flattened).
 
     Raises:
-        GridError: when there is no sample.
+        GridError: when there is no sample, or a sample row is not finite
+            (the first is named).
     """
     v = np.asarray(values, dtype=float)
     if v.ndim == 0 or v.shape[0] < 1:
         raise GridError("p-variation of an empty path is undefined")
-    return v.reshape(v.shape[0], -1)
+    v = v.reshape(v.shape[0], -1)
+    finite = np.isfinite(v).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise GridError(f"sample row {row} is not finite")
+    return v
+
+
+def _turning_nodes(x: np.ndarray) -> np.ndarray:
+    """Indices of the end points and non-strict local extrema of the scalar
+    path ``x``: every interior ``i`` with ``(x_i − x_{i−1})(x_{i+1} − x_i) <= 0``,
+    so plateaus are kept.
+
+    For ``p > 1``, ``|y − a|^p + |b − y|^p`` is strictly convex in ``y``, so
+    a node strictly inside a monotone run lies in no optimal partition of any
+    prefix: moving it to a neighbour gains.  Every maximizer of the partition
+    DP at a kept node is then a kept node, and the first one among the kept
+    candidates is the first one among all.  The test is made on comparisons
+    of neighbours, so it needs no float temporaries and nothing can underflow.
+    """
+    rise = x[1:] > x[:-1]
+    fall = x[1:] < x[:-1]
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:-1] = ~(rise[:-1] & rise[1:] | fall[:-1] & fall[1:])
+    return np.flatnonzero(keep)
 
 
 def _norms_from_increments(increments) -> np.ndarray:
@@ -330,10 +364,6 @@ def _cell_powers(values, increments, p: float):
     if increments is not None:
         return _norms_from_increments(increments) ** p
     v = _sample_rows(values)
-    finite = np.isfinite(v).all(axis=1)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        raise GridError(f"sample row {row} is not finite")
 
     def column(rows, j):
         d = v[j] - v[rows]
@@ -364,20 +394,26 @@ def _admissible_mask(loc: Localization | None, t: np.ndarray, m: int) -> _Column
             f"no admissible partition: consecutive step ({t[i]:g}, {t[i + 1]:g}) has "
             f"control {float(loc.base_control(t[i], t[i + 1])):.6g} > threshold "
             f"{loc.threshold:.6g}", step=i)
-    return _Columns(m, lambda rows, j: loc.admissible(t[rows], t[j]))
+    # rows precede j, so the pairs are ordered and skip __call__'s checks
+    return _Columns(m, lambda rows, j:
+                    loc.base_control._ordered(t[rows], t[j]) <= loc.threshold)
 
 
 def _partition_dp(norms_pow: np.ndarray, mask: np.ndarray | None, starts: int):
     """Maximal (masked) partition sums from each of the first ``starts`` nodes.
 
     ``norms_pow`` and ``mask`` are read only through ``.shape`` and one
-    column ``[:j, j]`` per end node ``j``, so a column source such as
-    :class:`_Columns` serves as well as a dense ``(m, m)`` table.
+    column per end node ``j``, so a column source such as :class:`_Columns`
+    serves as well as a dense ``(m, m)`` table.  Without a mask the column
+    is ``[:j, j]``; with one, ``norms_pow`` is read only on the admissible
+    rows ``mask[:j, j].nonzero()`` (any subset, not only a suffix), so a
+    column costs O(admissible rows) beyond its mask.
 
     ``V[i, j]`` is the best sum of ``norms_pow`` over partitions of the
     window ``[t_i, t_j]`` whose cells are all admissible (``-inf`` when none
-    is), and ``pred[i, j]`` the last interior node of a maximizer.  Entries
-    with ``j <= i`` are ``0`` on the diagonal and ``-inf`` below it.
+    is), and ``pred[i, j]`` the last interior node of its first maximizer;
+    ``pred`` is meaningful only where ``V`` is finite.  Entries with
+    ``j <= i`` are ``0`` on the diagonal and ``-inf`` below it.
 
     Returns:
         (V, pred), both of shape ``(starts, m)``.
@@ -388,11 +424,18 @@ def _partition_dp(norms_pow: np.ndarray, mask: np.ndarray | None, starts: int):
     pred = np.full((starts, m), -1, dtype=int)
     for j in range(1, m):
         h = min(j, starts)
-        cand = V[:h, :j] + norms_pow[:j, j]
-        if mask is not None:
-            cand = np.where(mask[:j, j], cand, -np.inf)
+        if mask is None:
+            cand = V[:h, :j] + norms_pow[:j, j]
+            V[:h, j] = cand.max(axis=1)
+            pred[:h, j] = cand.argmax(axis=1)
+            continue
+        rows = mask[:j, j].nonzero()[0]
+        if rows.size == 0:  # no admissible last cell: V stays -inf
+            pred[:h, j] = 0
+            continue
+        cand = V[:h, rows] + norms_pow[rows, j]
         V[:h, j] = cand.max(axis=1)
-        pred[:h, j] = cand.argmax(axis=1)
+        pred[:h, j] = rows[cand.argmax(axis=1)]
     return V, pred
 
 
@@ -417,8 +460,15 @@ def p_variation(values=None, p: float = 2.0, *, increments=None,
     Returns:
         ``‖g‖_p^p`` (float), or ``(value, partition_indices)``.
 
-    Memory is O(n·d) for ``values`` with ``d`` entries per sample (the cell
-    values are streamed column by column) and O(n²) for ``increments``.
+    Work is O(n²·d) for ``values`` with ``d`` entries per sample, and O(n²)
+    for ``increments`` after its dense norm table.  A scalar ``values`` path
+    (``d = 1``) with ``p > 1`` is first reduced to its end points and
+    non-strict local extrema (:func:`_turning_nodes`), ``k`` nodes, and
+    costs O(n + k²); value and partition are bit for bit those of the full
+    DP.  At ``p = 1`` ties along monotone runs would let the candidate set
+    pick the partition, so every node stays.  Memory is O(n·d) for
+    ``values`` (the cell values are streamed column by column) and O(n²)
+    for ``increments``.
 
     Raises:
         GridError: empty path, malformed increments, or a non-finite sample
@@ -427,6 +477,12 @@ def p_variation(values=None, p: float = 2.0, *, increments=None,
     """
     if p < 1:
         raise HypothesisError(f"p-variation requires p >= 1, got p={p}")
+    nodes = None
+    if values is not None and increments is None and p > 1:
+        values = _sample_rows(values)
+        if values.shape[1] == 1:
+            nodes = _turning_nodes(values[:, 0])
+            values = values[nodes]
     cells = _cell_powers(values, increments, p)
     m = cells.shape[0]
     if m == 1:
@@ -434,7 +490,8 @@ def p_variation(values=None, p: float = 2.0, *, increments=None,
     V, pred = _partition_dp(cells, None, 1)
     value = float(V[0, -1])
     if return_partition:
-        return value, _walk_partition(pred[0], m - 1)
+        partition = _walk_partition(pred[0], m - 1)
+        return value, partition if nodes is None else nodes[partition].tolist()
     return value
 
 
@@ -447,9 +504,12 @@ def localized_p_variation(values=None, p: float = 2.0, loc: Localization | None 
     positive exponent is allowed — localized variation is routinely used with
     exponents below one (e.g. ``p/3`` for remainder scales).
 
-    Memory is as for :func:`p_variation`: O(n·d) for ``values``, whose cell
-    values and admissibility are both streamed column by column, and O(n²)
-    for ``increments``.
+    Work is O(n²) control evaluations for the admissibility columns plus
+    O(a·d) for the increment powers and candidate sums, where ``a`` is the
+    number of admissible cells: column ``j`` of the DP reads only its
+    admissible rows.  Memory is as for :func:`p_variation`: O(n·d) for
+    ``values``, whose cell values and admissibility are both streamed column
+    by column, and O(n²) for ``increments``.
 
     Raises:
         GridError: as for :func:`p_variation`, or a grid that does not have
@@ -511,8 +571,8 @@ def rough_gronwall_bound(G0: float, omega1: Control, omega2: Control | None = No
             requires ``C > 0``, ``k >= k_prime >= 1``, ``C_prime >= 0``.
 
     Returns:
-        The bound on ``sup_{[0,T]} G`` (a nonnegative float), with the sups
-        evaluated on ``omega1.times``.
+        The bound on ``sup_{[0,T]} G`` (a nonnegative float, ``inf`` when it
+        exceeds the float range), with the sups evaluated on ``omega1.times``.
 
     Raises:
         HypothesisError: constants out of range, or ``ω₂ > ω₁`` somewhere on
@@ -554,8 +614,13 @@ def rough_gronwall_bound(G0: float, omega1: Control, omega2: Control | None = No
     w2_term = np.power(w2, expo, out=np.zeros_like(w2), where=w2 > 0)
     tail2 = float(np.max(w2_term * decay))
 
-    total = float(w1[-1])
-    # the exponential is astronomically conservative for rough drivers; let it
-    # saturate to inf rather than raising (an infinite bound is still a bound)
-    growth = np.exp(total / (alpha * L))
-    return float(2.0 * growth * (float(G0) + tail3 + tail2 + C_prime))
+    base = float(G0) + tail3 + tail2 + C_prime
+    if base == 0.0:  # G ≡ 0, whatever the growth factor
+        return 0.0
+    # the exponential is astronomically conservative for rough drivers; past
+    # the float range the bound is inf (an infinite bound is still a bound).
+    # The range is checked on the growth's logarithm and the product is taken
+    # in Python floats, which saturate to inf without a numpy warning.
+    log_growth = float(w1[-1]) / (alpha * L)
+    growth = math.inf if log_growth > _LOG_FLOAT_MAX else float(np.exp(log_growth))
+    return 2.0 * growth * base

@@ -286,11 +286,12 @@ def cubic_by_modulo_gather(values, pts, r):
     The gather the library used before its padded-grid kernel: every tap's
     row and column are reduced modulo the fine side, and taps are summed
     a → b → component as ``out[k] += w_a w_b · f[ind]``.  The fine grids
-    come from the library's own upsampler, so only the gather differs.
+    are the interiors of the library's own padded upsamples, so only the
+    gather differs.
     """
-    from roughflow.fields import TWO_PI, _spectral_upsample
+    from roughflow.fields import TWO_PI, _padded_upsample
 
-    fine = [_spectral_upsample(c, r) for c in values] if r > 1 else list(values)
+    fine = [_padded_upsample(c, r)[1:-3, 1:-3] for c in values]
     Nu = fine[0].shape[0]
     g = pts * (Nu / TWO_PI)
     i0 = np.floor(g).astype(int)

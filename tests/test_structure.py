@@ -1,8 +1,8 @@
 """Source structure: shared helpers (torus, JSON, partition DP, admissibility)
-are defined exactly once, the option surface of the solver entry points is
-pinned and every option on it is set by a caller, every public name is
-reached by a claim or kept for a stated reason, and every layer the traced
-benchmark wraps exists."""
+are defined exactly once, the partition DP is the only DP loop, the option
+surface of the solver entry points is pinned and every option on it is set
+by a caller, every public name is reached by a claim or kept for a stated
+reason, and every layer the traced benchmark wraps exists."""
 
 import ast
 import importlib
@@ -84,6 +84,31 @@ def test_ledger_contraction_makes_no_blas_call():
               if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, ast.MatMult)]
     assert matmul == []
     assert referenced_names(fn) & {"dot", "matmul", "tensordot", "vdot", "inner"} == set()
+
+
+def test_partition_dp_is_the_only_dp_loop():
+    # Candidate pruning (turning nodes, admissible rows) feeds the one DP and
+    # must not grow a second one.  A DP step is an argmax, or a max along an
+    # axis: every one in variation.py lies in _partition_dp, which each
+    # partition supremum calls.
+    tree = ast.parse((SOURCE / "variation.py").read_text())
+    functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    for name in ("p_variation", "localized_p_variation", "_all_windows_dp"):
+        assert "_partition_dp" in referenced_names(functions[name]), name
+
+    def along_axis(call):
+        # np.max(a, axis) or a.max(axis), positionally or by keyword
+        positional = 2 if getattr(call.func.value, "id", None) == "np" else 1
+        return len(call.args) >= positional or any(k.arg == "axis" for k in call.keywords)
+
+    def dp_steps(nodes):
+        return [f"variation.py:{n.lineno} {n.func.attr}" for n in nodes
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and (n.func.attr in ("argmax", "nanargmax")
+                     or n.func.attr in ("max", "amax", "nanmax") and along_axis(n))]
+
+    assert len(dp_steps(ast.walk(functions["_partition_dp"]))) >= 2
+    assert dp_steps(outside_function(tree, "_partition_dp")) == []
 
 
 def test_flow_draws_random_numbers_in_one_place():

@@ -22,6 +22,7 @@ from roughflow import (
 from roughflow.variation import (
     _all_windows_dp,
     _cell_powers,
+    _Columns,
     _norms_from_increments,
     _partition_dp,
     _walk_partition,
@@ -229,6 +230,8 @@ def _dp_instance(seed, m, mask_kind):
         if mask_kind == "infeasible-windows":  # windows across step k get -inf
             k = rng.integers(m - 1)
             mask[k, k + 1] = False
+        if mask_kind == "empty-columns":  # no cell at all ends at these nodes
+            mask[:, rng.choice(np.arange(1, m), size=1 + m // 6, replace=False)] = False
     return increments, mask
 
 
@@ -344,6 +347,83 @@ def test_streamed_path_matches_enumeration(d, p, localized):
     assert got == want
 
 
+# ---------------------------------------------------------------------------
+# candidates that can win: turning nodes of scalar paths, admissible rows
+# ---------------------------------------------------------------------------
+
+@st.composite
+def turning_walks(draw, d):
+    """Walks built from plateaus, long monotone runs and noise on an integer
+    lattice (so values repeat), scaled; ``d = 2`` adds a second coordinate."""
+    steps = []
+    for kind, length, size in draw(st.lists(st.tuples(
+            st.sampled_from(["flat", "up", "down", "noise"]), st.integers(1, 12),
+            st.integers(1, 3)), min_size=1, max_size=6)):
+        if kind == "noise":
+            steps += draw(st.lists(st.integers(-2, 2), min_size=length, max_size=length))
+        else:
+            steps += [{"flat": 0, "up": size, "down": -size}[kind]] * length
+    scale = draw(st.sampled_from([1.0, 0.1, 7.3, 1e-3]))
+    start = draw(st.sampled_from([0.0, 1.0, -3.5]))
+    x = start + scale * np.concatenate([[0], np.cumsum(steps)])
+    if d == 1:
+        return x
+    y = draw(st.lists(st.integers(-1, 1), min_size=x.size, max_size=x.size))
+    return np.stack([x, scale * np.cumsum(y)], axis=-1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(turning_walks),
+       st.sampled_from([1.0, 1.2, 2.0, 2.5, 3.0]))
+@example(values=np.array([0.0, 1.0, 1.0, 0.0]), p=2.0)  # a plateau is an extremum
+# at p = 1 the full DP ends on a node inside the run -0.1 → -0.3, because
+# 0.1 + 0.2 + 0.2 rounds above 0.1 + 0.4: no node may be dropped there
+@example(values=np.array([0.0, 0.1, -0.1, -0.3]), p=1.0)
+def test_pruned_p_variation_equals_full_dp(values, p):
+    # scalar paths with p > 1 reach the DP with their turning nodes only; the
+    # value and the first-maximizer partition are those of every node
+    V, pred = _partition_dp(norms_from_values(values) ** p, None, 1)
+    want = (V[0, -1], _walk_partition(pred[0], len(values) - 1))
+    assert p_variation(values, p, return_partition=True) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(turning_walks(1), st.sampled_from([1.2, 2.0, 2.5, 3.0]), st.integers(1, 6))
+def test_localized_scalar_path_keeps_every_node(values, p, band):
+    # a localization can make a node inside a monotone run the only way to
+    # keep cells admissible, so no turning-node pruning applies; cells span
+    # at most ``band`` steps of the unit grid
+    times = np.arange(values.size, dtype=float)
+    loc = _interval_loc(times, exponent=1.0, L=float(band))
+    V, pred = _partition_dp(norms_from_values(values) ** p, loc.mask(times), 1)
+    want = (V[0, -1], _walk_partition(pred[0], values.size - 1))
+    assert localized_p_variation(values, p, loc, return_partition=True) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(3, 14),
+    st.sampled_from(["banded", "random", "infeasible-windows", "empty-columns"]),
+    st.sampled_from([0.5, 1.0, 2.2, 3.0]),
+)
+def test_masked_dp_reads_only_admissible_rows(seed, m, mask_kind, p):
+    # admissible rows need not form a suffix, and a column may have none
+    increments, mask = _dp_instance(seed, m, mask_kind)
+    norms_pow = _norms_from_increments(increments) ** p
+    read = []
+
+    def column(rows, j):
+        read.append((j, np.arange(m)[rows]))
+        return norms_pow[rows, j]
+
+    got = np.triu(_partition_dp(_Columns(m, column), mask, m)[0], 1)
+    assert got.tobytes() == all_windows_dp_by_rows(norms_pow, mask).tobytes()
+    for j, rows in read:
+        assert np.array_equal(rows, np.flatnonzero(mask[:j, j]))
+    assert {j for j, _ in read} == {j for j in range(1, m) if mask[:j, j].any()}
+
+
 @pytest.mark.parametrize("localized", [False, True])
 def test_values_path_memory_is_linear_in_rows(localized):
     n = 4000
@@ -390,6 +470,15 @@ def test_gronwall_bound_with_vanishing_controls():
     bound = rough_gronwall_bound(0.3, zero, zero, zero, L=1.0, C=1.0, k=2.0,
                                  k_prime=1.0, C_prime=0.7)
     assert bound == pytest.approx(2.0 * (0.3 + 0.7))
+
+
+def test_gronwall_bound_past_float_range_is_inf_without_warning():
+    # ω₁(0,T)/(αL) is about 1.1e5, far past log(max float): the bound is inf,
+    # and no overflow warning escapes (warnings are errors in this suite)
+    w1 = Control.interval_power(np.linspace(0.0, 1.0, 50), 1.0, 500.0)
+    assert rough_gronwall_bound(1.0, w1, L=0.46, C=1.0, k=2.0, k_prime=1.0) == math.inf
+    # with nothing to grow (G0 = C' = 0, no ω₂ or ω₃) the bound is 0, not inf · 0
+    assert rough_gronwall_bound(0.0, w1, L=0.46, C=1.0, k=2.0, k_prime=1.0) == 0.0
 
 
 def test_gronwall_alpha_matches_closed_form():
