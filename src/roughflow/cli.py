@@ -17,7 +17,10 @@ CSV time series::
 
     roughflow pvar series.csv --p 2.5 [--localize power:1.5[:SCALE]] [--L 0.8]
 
-The CSV may have a header row; one column is read as values on a unit-spaced
+The CSV may have header rows (the rows before the first numeric row are
+skipped, and so are blank lines); the rest is parsed by ``np.loadtxt``, so a
+cell is a plain decimal, ``inf`` or ``nan`` (``float()`` spellings such as
+``1_000`` are not numbers).  One column is read as values on a unit-spaced
 grid, two or more as ``time, value...`` (vector values use the Euclidean
 increment norm).  A time column that is not strictly increasing and finite
 (a ``nan`` or ``inf`` cell included) or a non-finite value makes the command
@@ -32,6 +35,7 @@ maximizing partition.
 """
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -74,31 +78,54 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_numeric_row(line: str) -> bool:
+    """Whether the ``np.loadtxt`` parse of :func:`_read_series` accepts
+    ``line`` as one row of numbers."""
+    try:
+        np.loadtxt([line], delimiter=",", comments=None)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_series(path: str):
-    """CSV rows → (times, values); single-column files get unit-spaced times."""
-    rows = []
+    """CSV rows → (times, values); single-column files get unit-spaced times.
+
+    Blank lines are skipped, and so are the rows before the first numeric
+    row (a header).  The rest is parsed by ``np.loadtxt``, the reader of
+    :func:`~roughflow.fields._read_table`, streamed from the file with no
+    comment character: a ``#`` row after the data is a non-numeric row.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            cells = [c.strip() for c in line.split(",")]
-            try:
-                rows.append([float(c) for c in cells])
-            except ValueError:
-                if rows:
-                    raise RoughFlowError(
-                        f"non-numeric row after data started: {line!r}")
-                continue  # header
-    if not rows:
-        raise RoughFlowError(f"no numeric rows in {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise RoughFlowError("rows have inconsistent column counts")
-    data = np.asarray(rows, dtype=float)
-    if width == 1:
+        rows = (line for line in handle if line.strip())
+        first = next((line for line in rows if _is_numeric_row(line)), None)
+        if first is None:
+            raise RoughFlowError(f"no numeric rows in {path}")
+        try:
+            data = np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                              comments=None, ndmin=2)
+        except ValueError:
+            data = None
+    if data is None:
+        raise RoughFlowError(_series_error(path))
+    if data.shape[1] == 1:
         return np.arange(data.shape[0], dtype=float), data[:, 0]
     return data[:, 0], data[:, 1:]
+
+
+def _series_error(path: str) -> str:
+    """Why ``np.loadtxt`` rejected the data rows of ``path``: its first
+    non-numeric row after the data started, else its column counts."""
+    started = False
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            if not line.strip():
+                continue
+            numeric = _is_numeric_row(line)
+            if started and not numeric:
+                return f"non-numeric row after data started: {line.strip()!r}"
+            started = started or numeric
+    return "rows have inconsistent column counts"
 
 
 def _parse_control(spec: str | None, times: np.ndarray) -> Control:

@@ -43,11 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridError, HypothesisError, QuadratureError, StepSizeError
-from .fields import (TWO_PI, VorticityGrid, interpolate_velocity,
-                     load_field_binary, load_field_csv, nodes_1d,
-                     save_field_binary, save_field_csv, wavenumbers)
-from .flow import (ParticleFlow, load_particles_binary, load_particles_csv,
-                   save_particles_binary, save_particles_csv,
+from .fields import (TWO_PI, VorticityGrid, load_field_binary, load_field_csv,
+                     nodes_1d, save_field_binary, save_field_csv, wavenumbers)
+from .flow import (ParticleFlow, _freeze, load_particles_binary,
+                   load_particles_csv, save_particles_binary, save_particles_csv,
                    solve_nonlocal_flow)
 from .roughpath import DriverPair, RoughPath, variation_control
 from .variation import (Localization, _default_localization, _store_indices,
@@ -616,12 +615,14 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     than the ``O(h²)`` deposition error of the grid snapshots (which would
     bury the third-order remainder at any affordable resolution).  The
     velocity still comes from the stored grids, cubically interpolated to
-    the particles (:func:`~roughflow.fields.interpolate_velocity`, the
-    interpolation the march froze).  Each snapshot builds one ``cos(k·x)``
-    and one ``sin(k·x)`` table at its particles; the weights, velocities and
-    coefficient fields are contracted into rows that meet those two tables
-    in two contractions over the particles (``einsum``, not BLAS; see :func:`_particle_pairings`), and
-    every pairing (``ψ``, ``u·∇ψ``, ``σ_j·∇ψ``, ``σ_i·∇(σ_j·∇ψ)``) is a
+    the particles by the march's own frozen drift: one
+    :class:`~roughflow.flow.GridDrift` is refrozen in place at each snapshot,
+    so the whole ledger upsamples into one set of buffers, bitwise what
+    :func:`~roughflow.fields.interpolate_velocity` gives.  Each snapshot
+    builds one ``cos(k·x)`` and one ``sin(k·x)`` table at its particles; the
+    weights, velocities and coefficient fields are contracted into rows that
+    meet those two tables in two contractions over the particles (``einsum``,
+    not BLAS; see :func:`_particle_pairings`), and every pairing (``ψ``, ``u·∇ψ``, ``σ_j·∇ψ``, ``σ_i·∇(σ_j·∇ψ)``) is a
     k-factor combination of the results.
 
     The tables use the default :class:`FourierTestFunctions` family on at
@@ -658,9 +659,11 @@ def weak_remainder(trajectory: EulerTrajectory, *,
     M = len(sigmas)
     PS = np.empty((n, M, F))
     PSS = np.empty((n, M, M, F))
+    drift = None
     for k, s in enumerate(states):
         pos = s.particles.positions
-        u_p = interpolate_velocity(s.velocity, pos)
+        drift = _freeze(drift, s.time, s.velocity)
+        u_p = drift.velocity(s.time, pos)
         P[k], G[k], PS[k], PSS[k] = _particle_pairings(
             fam, sigmas, pos, s.particles.weights, u_p)
 

@@ -4,8 +4,10 @@ Grid convention: ``values[i, j] = f(2πi/N, 2πj/N)`` — axis 0 is the x₁
 direction, axis 1 is x₂, and ``N`` is a power of two.  Spectral work uses
 ``numpy.fft`` with integer wavenumbers ``k = fftfreq(N, 1/N)``: complex
 transforms for spectra that are read or multiplied (Biot-Savart,
-trigonometric interpolation), and the real pair ``rfft2``/``irfft2`` on the
-half-spectrum for the zero-padded upsampling behind cubic interpolation.
+trigonometric interpolation), and, for the zero-padded upsampling behind
+cubic interpolation, ``rfft2`` forward and a pruned inverse of 1-d passes
+(``ifft`` over the nonzero half-spectrum columns, then ``irfft`` written in
+place into a reusable padded grid; see :func:`_padded_upsample`).
 
 The module provides
 
@@ -65,6 +67,11 @@ class VectorField:
         g = self.gradient(points)
         return g[..., 0, 0] + g[..., 1, 1]
 
+    def derivative_along(self, points: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """``(v·∇)σ`` at ``points``: ``Σ_b v^b ∂_b σ^a``, shaped like ``v``."""
+        g = self.gradient(points)
+        return g[..., 0] * v[..., 0, None] + g[..., 1] * v[..., 1, None]
+
     def c_norm(self, order: int) -> float:
         raise NotImplementedError
 
@@ -117,12 +124,24 @@ class ShearField(VectorField):
         out[..., 1 - self.axis] = self.amplitude * np.cos(self._theta(pts))
         return out
 
+    def _slope(self, pts):
+        """``∂_axis σ^perp``, the one nonzero entry of the gradient."""
+        return -self.amplitude * self.wavenumber * np.sin(self._theta(pts))
+
     def gradient(self, points):
         pts = np.asarray(points, dtype=float)
         g = np.zeros(pts.shape[:-1] + (2, 2))
-        g[..., 1 - self.axis, self.axis] = (-self.amplitude * self.wavenumber
-                                            * np.sin(self._theta(pts)))
+        g[..., 1 - self.axis, self.axis] = self._slope(pts)
         return g
+
+    def derivative_along(self, points, v):
+        # the gradient's one nonzero entry times v, without the dense table:
+        # the table's other products are zeros, so this equals the base
+        # method up to the sign of a zero
+        pts = np.asarray(points, dtype=float)
+        out = np.zeros(np.shape(v))
+        out[..., 1 - self.axis] = self._slope(pts) * v[..., self.axis]
+        return out
 
     def c_norm(self, order):
         return abs(self.amplitude) * max(1, self.wavenumber) ** order
@@ -479,6 +498,16 @@ def kernel_log_lipschitz_check(x, x_prime, resolution: int = 256) -> KernelCheck
 # refinement of the zero-padded grid behind cubic interpolation
 _CUBIC_UPSAMPLE = 4
 
+# Particles per block of particle-wise work (deposition, and the Davie step
+# with its cubic interpolation).  A block's (n, 2) float array is 128 kB, so
+# after the first such array is freed glibc serves them from the heap, and a
+# step's scratch stays below the heap's trim threshold and is reused step
+# after step.  Whole-array temporaries of a 16k-particle march (256–512 kB
+# each, several MB a step) are trimmed off the heap or unmapped and
+# page-faulted in again every step.  Each particle's arithmetic does not
+# depend on its block.
+_PARTICLE_BLOCK = 8192
+
 
 def interpolate(field, points, method: str = "spectral"):
     """Evaluate a grid field at arbitrary torus points.
@@ -501,16 +530,10 @@ def interpolate(field, points, method: str = "spectral"):
     if method == "spectral":
         kernel, grids = _interp_spectral, [values]
     elif method == "cubic":
-        kernel, grids = _interp_cubic, _cubic_grids([values])
+        kernel, grids = _interp_cubic, _padded_upsample(values[None], _CUBIC_UPSAMPLE)
     else:
         raise GridError(f"unknown interpolation method {method!r}")
     return _interp_components(kernel, grids, points)[0, ...]
-
-
-def _cubic_grids(values) -> list:
-    """The wrap-padded 4× grid (:func:`_padded_upsample`) of each ``(N, N)``
-    grid in ``values``: what :func:`_interp_cubic` reads."""
-    return [_padded_upsample(c, _CUBIC_UPSAMPLE) for c in values]
 
 
 def _interp_components(kernel, grids, points) -> np.ndarray:
@@ -518,9 +541,10 @@ def _interp_components(kernel, grids, points) -> np.ndarray:
     ``(C,) + points.shape[:-1]``.
 
     ``kernel`` is :func:`_interp_spectral` on ``(N, N)`` grids or
-    :func:`_interp_cubic` on :func:`_cubic_grids`.  The point stencil is
-    built once and shared by every component; each component's result
-    equals a one-component call bit for bit.
+    :func:`_interp_cubic` on their padded 4× grids
+    (:func:`_padded_upsample`).  The point stencil is built once and shared
+    by every component; each component's result equals a one-component call
+    bit for bit.
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape[-1] != 2:
@@ -563,100 +587,128 @@ def _interp_spectral_lattice(values: np.ndarray, x: np.ndarray) -> np.ndarray:
                      E).real / (N * N)
 
 
-def _padded_upsample(values: np.ndarray, r: int) -> np.ndarray:
-    """The ``r×`` spectral upsample of ``values`` inside a wrap-padded buffer.
+def _upsample_work(shape, r: int) -> tuple:
+    """Scratch of :func:`_padded_upsample` for input of ``shape`` (``(...,
+    N, N)``) at ratio ``r``: the fine half-spectra's nonzero columns, zero
+    outside the bands the upsample fills, and their column transforms."""
+    *lead, _, N = shape
+    work = (*lead, N * r, N // 2 + 1)
+    return np.zeros(work, dtype=complex), np.empty(work, dtype=complex)
+
+
+def _padded_upsample(values, r: int, out=None, work=None) -> np.ndarray:
+    """The ``r×`` spectral upsample of each ``(N, N)`` grid in ``values``
+    (shape ``(..., N, N)``) inside a wrap-padded buffer.
 
     The upsample is zero-padded FFT upsampling with symmetric Nyquist
     splitting (exact for band-limited input), on the real half-spectrum:
-    ``rfft2`` of the ``(N, N)`` input fills an ``(Nu, Nu/2 + 1)``
-    half-spectrum of the ``Nu = r·N`` grid, the Nyquist row and column are
-    split evenly between wavenumbers ``±N/2`` (the column at ``−N/2`` is
-    implied by Hermitian symmetry), and ``irfft2`` returns the real fine
-    grid, scaled by ``r²``; at ``r = 1`` the fine grid is the input.
+    ``rfft2`` of an ``(N, N)`` grid fills the ``Nu = r·N`` grid's
+    half-spectrum, the Nyquist row and column are split evenly between
+    wavenumbers ``±N/2`` (the column at ``−N/2`` is implied by Hermitian
+    symmetry), and the inverse transform returns the real fine grid, scaled
+    by ``r²``; at ``r = 1`` the fine grid is the input.
 
-    The result has shape ``(Nu + 4, Nu + 4)``: the fine grid fills
+    The inverse is pruned (Markel, "FFT pruning", IEEE Trans. Audio
+    Electroacoust. 19, 1971): of the ``Nu/2 + 1`` half-spectrum columns only
+    the first ``N/2 + 1`` are nonzero, so a 1-d ``ifft`` runs along axis −2
+    over those columns alone, and a 1-d ``irfft`` of length ``Nu`` along
+    axis −1 zero-fills the rest.  These are the two passes ``irfft2`` makes,
+    on the same numbers, so each fine grid is bitwise what ``irfft2`` of its
+    full half-spectrum gives, and what a one-grid call gives.  The ``irfft``
+    writes through ``out=`` straight into the padded interior; 1-d ``out=``
+    is exact in numpy 2.4.6, while ``irfft2(..., out=)`` leaves wrong values
+    in ``out`` and is not used.
+
+    The result has shape ``(..., Nu + 4, Nu + 4)``: each fine grid fills
     ``[1:Nu + 1, 1:Nu + 1]`` (the view ``[1:-3, 1:-3]``), and the border
     repeats it periodically, one row and column before and three after
-    (what ``np.pad(fine, ((1, 3), (1, 3)), mode="wrap")`` would give).
-    The scaled ``irfft2`` result is written straight into the interior and
-    the border is filled by slice copies, so no padded copy is made.
-    ``irfft2`` itself gets no ``out=``: numpy 2.4.6 leaves wrong values in
-    it.
+    (what ``np.pad(fine, ((1, 3), (1, 3)), mode="wrap")`` would give), filled
+    by slice copies.
+
+    ``out`` (a padded buffer of that shape) and ``work`` (from
+    :func:`_upsample_work`) are refilled in place when given, so a caller
+    that upsamples field after field reuses one set of buffers; the result
+    does not depend on what they held before.
 
     Raises:
-        GridError: ``values`` is not square, or ``r > 1`` and its side is odd.
+        GridError: the grids are not square, ``r > 1`` and their side is
+            odd, or ``out`` has the wrong shape.
     """
-    if values.ndim != 2 or values.shape[0] != values.shape[1] \
-            or (r > 1 and values.shape[0] % 2):
-        raise GridError(f"spectral upsampling needs a square grid with an even "
-                        f"side, got shape {values.shape}")
-    N = values.shape[0]
+    values = np.asarray(values, dtype=float)
+    if values.ndim < 2 or values.shape[-1] != values.shape[-2] \
+            or (r > 1 and values.shape[-1] % 2):
+        raise GridError(f"spectral upsampling needs square grids with an even "
+                        f"side, got grid shape {values.shape[-2:]}")
+    N = values.shape[-1]
     Nu = N * r
-    out = np.empty((Nu + 4, Nu + 4))
-    interior = out[1:Nu + 1, 1:Nu + 1]
+    shape = values.shape[:-2] + (Nu + 4, Nu + 4)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise GridError(f"padded buffer of shape {out.shape}, expected {shape}")
+    interior = out[..., 1:Nu + 1, 1:Nu + 1]
     if r == 1:
         interior[...] = values
     else:
         half = N // 2
         ny = Nu - half
+        Wf, columns = _upsample_work(values.shape, r) if work is None else work
         W = np.fft.rfft2(values)
-        Wf = np.zeros((Nu, Nu // 2 + 1), dtype=complex)
-        Wf[:half, :half + 1] = W[:half]
-        Wf[ny:, :half + 1] = W[half:]
-        Wf[:, half] /= 2.0
-        Wf[half, :] = Wf[ny, :] / 2.0
-        Wf[ny, :] /= 2.0
-        np.multiply(np.fft.irfft2(Wf, s=(Nu, Nu)), r * r, out=interior)
-    out[1:Nu + 1, 0] = out[1:Nu + 1, Nu]
-    out[1:Nu + 1, Nu + 1:] = out[1:Nu + 1, 1:4]
-    out[0] = out[Nu]
-    out[Nu + 1:] = out[1:4]
+        Wf[..., :half, :] = W[..., :half, :]
+        Wf[..., ny:, :] = W[..., half:, :]
+        Wf[..., half] /= 2.0
+        Wf[..., half, :] = Wf[..., ny, :] / 2.0
+        Wf[..., ny, :] /= 2.0
+        np.fft.ifft(Wf, axis=-2, out=columns)
+        np.fft.irfft(columns, Nu, axis=-1, out=interior)
+        interior *= r * r
+    out[..., 1:Nu + 1, 0] = out[..., 1:Nu + 1, Nu]
+    out[..., 1:Nu + 1, Nu + 1:] = out[..., 1:Nu + 1, 1:4]
+    out[..., 0, :] = out[..., Nu, :]
+    out[..., Nu + 1:, :] = out[..., 1:4, :]
     return out
 
 
 def _interp_cubic(padded, pts: np.ndarray) -> np.ndarray:
     """Periodic Catmull-Rom at ``pts`` of each fine grid in ``padded``.
 
-    ``padded`` is a sequence of ``C`` wrap-padded fine grids from
-    :func:`_padded_upsample` and the result has shape ``(C, n_pts)``;
-    ``pts`` lie in ``[0, 2π]``.  The stencil (cell floor, weights and gather
-    offsets) is built once and shared by every component; each component is
-    summed in the same order a single-component call would use.
+    ``padded`` holds ``C`` wrap-padded fine grids from
+    :func:`_padded_upsample` (a ``(C, P, P)`` array, or a sequence that is
+    stacked into one) and the result has shape ``(C, n_pts)``; ``pts`` lie
+    in ``[0, 2π]``.  The stencil (cell floor, weights and gather offsets) is
+    built once and shared by every component, and each tap gathers every
+    component at once; each component is summed in the same order a
+    single-component call would use.
 
     The border of each grid makes the 4×4 taps of a floor ``i0 ∈ [0, Nu]``
     (``i0 = Nu`` when a point rounds onto ``2π``) plain offsets ``a·P + b``
     from one flat base index: no per-tap modulo.  The sums equal those of
     the modulo-indexed gather bit for bit.
     """
-    P = padded[0].shape[0]
+    padded = np.asarray(padded)
+    C, P = padded.shape[:2]
     Nu = P - 4
-    g = pts * (Nu / TWO_PI)
-    i0 = np.floor(g).astype(int)
-    f = g - i0
-
-    def weights(fr):
-        fr2 = fr * fr
-        fr3 = fr2 * fr
-        return np.stack([
-            0.5 * (-fr3 + 2 * fr2 - fr),
-            0.5 * (3 * fr3 - 5 * fr2 + 2),
-            0.5 * (-3 * fr3 + 4 * fr2 + fr),
-            0.5 * (fr3 - fr2),
-        ])  # Catmull-Rom (cubic convolution, a = -1/2)
-
-    w1 = weights(f[:, 0])
-    w2 = weights(f[:, 1])
-    flats = [c.ravel() for c in padded]
-    base = i0[:, 0] * P + i0[:, 1]
-    out = np.zeros((len(flats), pts.shape[0]))
-    tmp = np.empty(pts.shape[0])
+    g = np.multiply(pts.T, Nu / TWO_PI, order="C")   # (2, n_pts)
+    floor = np.floor(g)
+    i0 = floor.astype(int)
+    f = g - floor  # = g − i0 exactly
+    # Catmull-Rom (cubic convolution, a = -1/2) weights of both axes
+    f2 = f * f
+    f3 = f2 * f
+    w = (0.5 * (-f3 + 2 * f2 - f),
+         0.5 * (3 * f3 - 5 * f2 + 2),
+         0.5 * (-3 * f3 + 4 * f2 + f),
+         0.5 * (f3 - f2))
+    flat = padded.ravel()
+    index = (i0[0] * P + i0[1]) + (np.arange(C) * (P * P))[:, None]
+    out = np.zeros((C, pts.shape[0]))
+    tmp = np.empty((C, pts.shape[0]))
     for a in range(4):
         for b in range(4):
-            wab = w1[a] * w2[b]
-            for k, flat in enumerate(flats):
-                np.take(flat[a * P + b:], base, out=tmp, mode="clip")
-                tmp *= wab
-                out[k] += tmp
+            wab = w[a][0] * w[b][1]
+            flat[a * P + b:].take(index, out=tmp, mode="clip")
+            tmp *= wab
+            out += tmp
     return out
 
 
@@ -667,12 +719,12 @@ def interpolate_velocity(u: np.ndarray, points) -> np.ndarray:
     Both components share one point stencil; each equals its own
     ``interpolate(..., method="cubic")`` call bit for bit.
     """
-    return _cubic_velocity(_cubic_grids(u), points)
+    return _cubic_velocity(_padded_upsample(u, _CUBIC_UPSAMPLE), points)
 
 
 def _cubic_velocity(grids, points) -> np.ndarray:
-    """The two :func:`_cubic_grids` of a velocity field at ``points``,
-    stacked on a trailing axis."""
+    """The two padded 4× grids of a velocity field at ``points``, stacked on
+    a trailing axis."""
     return np.stack(_interp_components(_interp_cubic, grids, points), axis=-1)
 
 
@@ -696,26 +748,33 @@ def deposit(positions, weights, resolution: int) -> VorticityGrid:
     if n_p < N * N:
         raise UndersamplingError(
             f"deposition needs at least N² = {N * N} particles, got {n_p}")
-    g = _mod_two_pi(pts)
-    g *= N / TWO_PI
-    i0 = np.floor(g).astype(int)
-    f = g - i0
-    # per axis, the two nodes of each particle's cell (g can round onto N, so
-    # both may need one wrap) and their hat weights |1 − a − f| = 1 − f and f
-    nodes, hats = [], []
-    for ax in (0, 1):
-        lo = i0[:, ax]
-        lo[lo >= N] -= N
-        hi = lo + 1
-        hi[hi >= N] -= N
-        nodes.append((lo, hi))
-        hats.append((1.0 - f[:, ax], f[:, ax]))
+    # per cell corner (a, b), the node index and weighted hat of each
+    # particle, built block by block (see _PARTICLE_BLOCK)
+    corners = [[], [], [], []]
+    for lo in range(0, n_p, _PARTICLE_BLOCK):
+        g = np.multiply(_mod_two_pi(pts[lo:lo + _PARTICLE_BLOCK]).T, N / TWO_PI,
+                        order="C")  # (2, n_block), one row per axis
+        floor = np.floor(g)
+        i0 = floor.astype(int)
+        f = g - floor  # = g − i0 exactly, without an int → float pass
+        # per axis, the two nodes of each particle's cell (g can round onto
+        # N, so both may need one wrap) and their hat weights |1 − a − f|
+        np.subtract(i0, N, out=i0, where=i0 >= N)
+        i1 = i0 + 1
+        np.subtract(i1, N, out=i1, where=i1 >= N)
+        nodes, hats = (i0, i1), (1.0 - f, f)
+        w_blk = w[lo:lo + _PARTICLE_BLOCK]
+        for a in (0, 1):
+            row = nodes[a][0] * N
+            w_a = w_blk * hats[a][0]
+            for b in (0, 1):
+                corners[2 * a + b].append((row + nodes[b][1], w_a * hats[b][1]))
+    # one np.add.at pass per corner over the blocks in particle order: each
+    # node's contributions are summed in the order of a whole-array pass
     acc = np.zeros(N * N)
-    for row, hat_a in zip(nodes[0], hats[0]):
-        row = row * N
-        w_a = w * hat_a
-        for col, hat_b in zip(nodes[1], hats[1]):
-            np.add.at(acc, row + col, w_a * hat_b)
+    for blocks in corners:
+        for index, value in blocks:
+            np.add.at(acc, index, value)
     return VorticityGrid(acc.reshape(N, N) * (N * N / n_p))
 
 

@@ -33,14 +33,17 @@ from .fields import (
     TWO_PI,
     VectorField,
     VorticityGrid,
-    _cubic_grids,
+    _CUBIC_UPSAMPLE,
+    _PARTICLE_BLOCK,
     _cubic_velocity,
     _interp_spectral_lattice,
     _mod_two_pi,
     _nearest_image,
+    _padded_upsample,
     _read_header,
     _read_table,
     _torus_distances,
+    _upsample_work,
     biot_savart,
     deposit,
     gamma,
@@ -175,6 +178,11 @@ class GridDrift:
     grid, upsampled and wrap-padded once at construction: bitwise what
     :func:`~roughflow.fields.interpolate_velocity` gives on the snapshot.
 
+    A march holds one drift: :func:`_freeze` refreezes a one-snapshot drift
+    in place at each step node, refilling its padded grids and upsample
+    scratch (about 1.6 MB at N = 64) instead of allocating a fresh drift's
+    every step.
+
     ``sup_norm`` reports the grid max; between nodes the interpolant may
     exceed it by up to the documented overshoot factor, which contract checks
     take into account.
@@ -192,7 +200,8 @@ class GridDrift:
                 raise GridError("drift snapshots must have shape (2, N, N)")
         self.sup_norm = max(float(np.abs(s).max()) for s in snaps)
         self.log_lipschitz: float | None = None
-        self._grids = [_cubic_grids(s) for s in snaps]
+        self._grids = [_padded_upsample(s, _CUBIC_UPSAMPLE) for s in snaps]
+        self._work = None
 
     def _index(self, t: float) -> int:
         if self.times.size == 1:
@@ -212,6 +221,24 @@ class GridDrift:
         time (:func:`_sample_norms`); cached on the instance."""
         self.log_lipschitz = _sample_norms(self.velocity, self.times)[1]
         return self.log_lipschitz
+
+
+def _freeze(drift: GridDrift | None, t: float, snapshot) -> GridDrift:
+    """``GridDrift([t], [snapshot])``, bitwise; when ``drift`` is given (a
+    one-snapshot drift of the same grid shape) it is refrozen in place, its
+    padded grids and upsample scratch refilled, and returned."""
+    if drift is None:
+        return GridDrift([t], [snapshot])
+    snap = np.asarray(snapshot, dtype=float)
+    if drift.times.size != 1:
+        raise GridError("only a one-snapshot drift can be refrozen")
+    if drift._work is None:
+        drift._work = _upsample_work(snap.shape, _CUBIC_UPSAMPLE)
+    _padded_upsample(snap, _CUBIC_UPSAMPLE, drift._grids[0], drift._work)
+    drift.times = _as_times([t])
+    drift.sup_norm = float(np.abs(snap).max())
+    drift.log_lipschitz = None
+    return drift
 
 
 def as_drift(obj):
@@ -425,7 +452,8 @@ def _second_level(sigmas, S: np.ndarray, pos: np.ndarray, A: np.ndarray) -> np.n
 
     ``S`` stacks the fields' values at ``pos`` (shape ``(M,) + pos.shape``).
     𝕫 is contracted into σ first, ``SA_j = Σ_i 𝕫^{ij} σ_i``; then the term is
-    an explicit sum over ``j`` and ``b`` of ``∂_b σ_j · SA_j^b``, elementwise
+    the sum over ``j`` of ``(SA_j·∇)σ_j`` (:meth:`VectorField.derivative_along`,
+    which a shear evaluates without building its gradient table), elementwise
     work with no three-operand contraction.
     """
     second = 0.0
@@ -433,13 +461,20 @@ def _second_level(sigmas, S: np.ndarray, pos: np.ndarray, A: np.ndarray) -> np.n
         SA = A[0, j] * S[0]
         for i in range(1, len(sigmas)):
             SA = SA + A[i, j] * S[i]
-        G = f.gradient(pos)
-        second = second + G[..., 0] * SA[..., 0, None] + G[..., 1] * SA[..., 1, None]
+        second = second + f.derivative_along(pos, SA)
     return second
 
 
 def davie_step(positions, s: float, t: float, problem: FlowProblem) -> np.ndarray:
     """One second-order step from ``s`` to ``t`` (consecutive step nodes).
+
+    ``positions`` has shape ``(n, 2)``.  The particle-wise work (drift, σ
+    values, the two driver terms, the wrap) runs in blocks of
+    ``_PARTICLE_BLOCK`` particles, so its temporaries stay small enough to be
+    reused from the heap rather than mapped afresh; each particle's
+    arithmetic is the same in any block, so the result does not depend on
+    the blocking.  Drifts are evaluated block by block, so a drift must be
+    pointwise in the positions, as a velocity field is.
 
     Raises:
         StepSizeError: the noise displacement could wrap the torus
@@ -469,15 +504,25 @@ def davie_step(positions, s: float, t: float, problem: FlowProblem) -> np.ndarra
             f"(‖σ‖_C²^(q/2)·ω^(1/2) = {guard:.3g} ≥ 0.5); refine the step grid",
             interval=(s, t), value=guard)
 
-    out = pos + problem.drift.velocity(s, pos) * (t - s)
+    drift = problem.drift
     eps = driver.sign_convention
-    S = np.stack([f(pos) for f in sigmas])
-    out = out + eps * np.einsum("j,j...->...", Z, S)
-    out = out + _second_level(sigmas, S, pos, A)
-    if not np.isfinite(out).all():
+    out = np.empty(pos.shape)
+    non_finite = 0
+    for lo in range(0, pos.shape[0], _PARTICLE_BLOCK):
+        x = pos[lo:lo + _PARTICLE_BLOCK]
+        S = np.stack([f(x) for f in sigmas])
+        step = x + drift.velocity(s, x) * (t - s)
+        step = step + eps * np.einsum("j,j...->...", Z, S)
+        step = step + _second_level(sigmas, S, x, A)
+        finite = np.isfinite(step)
+        if finite.all():
+            out[lo:lo + _PARTICLE_BLOCK] = _wrap(step)
+        else:
+            non_finite += int((~finite).sum())
+    if non_finite:
         raise StepSizeError(f"step [{s:g}, {t:g}] produced non-finite positions",
-                            interval=(s, t), value=int((~np.isfinite(out)).sum()))
-    return _wrap(out)
+                            interval=(s, t), value=non_finite)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -699,9 +744,10 @@ def solve_nonlocal_flow(w0: VorticityGrid, driver: DriverPair, step_times, *,
 
     At each step node the march deposits the particle weights, solves for the
     Biot-Savart velocity of the mean-free deposit spectrally, freezes that
-    field over the step as a cubic :class:`GridDrift`, and advances with
-    :func:`davie_step`.  ``grids`` keeps the ``(deposit, velocity)`` pair of
-    every stored node (the last node's is computed only when stored).
+    field over the step as a cubic :class:`GridDrift` (one drift for the
+    whole march, refrozen in place), and advances with :func:`davie_step`.
+    ``grids`` keeps the ``(deposit, velocity)`` pair of every stored node
+    (the last node's is computed only when stored).
 
     The march never calls :meth:`FlowProblem.check`: its problem starts from a
     zero drift, so the check would verify nothing, and the contract of the
@@ -715,8 +761,10 @@ def solve_nonlocal_flow(w0: VorticityGrid, driver: DriverPair, step_times, *,
     problem = FlowProblem(None, driver, initial, st)
     last = st.size - 1
     grids = []
+    drift = None
 
     def freeze_drift(k, pos, stored):
+        nonlocal drift
         if k == last and not stored:
             return None
         w = deposit(pos, initial.weights, N)
@@ -726,7 +774,8 @@ def solve_nonlocal_flow(w0: VorticityGrid, driver: DriverPair, step_times, *,
             grids.append((w, u))
         if k == last:
             return None
-        return GridDrift([st[k]], [u])
+        drift = _freeze(drift, st[k], u)
+        return drift
 
     traj = _march(problem, store_times, freeze_drift)
     traj.grids = grids

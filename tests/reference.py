@@ -279,6 +279,29 @@ def spectral_upsample_complex(values, r):
     return np.fft.ifft2(Wf).real * r * r
 
 
+def padded_upsample_by_irfft2(values, r):
+    """The wrap-padded ``r×`` upsample of one ``(N, N)`` grid as the library
+    computed it before its pruned inverse: the full ``(Nu, Nu/2 + 1)``
+    half-spectrum, zero band included, through one ``irfft2``, then
+    ``np.pad`` in wrap mode (one row and column before, three after)."""
+    values = np.asarray(values, dtype=float)
+    N = values.shape[0]
+    Nu = N * r
+    if r == 1:
+        return np.pad(values, ((1, 3), (1, 3)), mode="wrap")
+    half = N // 2
+    ny = Nu - half
+    W = np.fft.rfft2(values)
+    Wf = np.zeros((Nu, Nu // 2 + 1), dtype=complex)
+    Wf[:half, :half + 1] = W[:half]
+    Wf[ny:, :half + 1] = W[half:]
+    Wf[:, half] /= 2.0
+    Wf[half, :] = Wf[ny, :] / 2.0
+    Wf[ny, :] /= 2.0
+    fine = np.fft.irfft2(Wf, s=(Nu, Nu)) * (r * r)
+    return np.pad(fine, ((1, 3), (1, 3)), mode="wrap")
+
+
 def cubic_by_modulo_gather(values, pts, r):
     """Periodic Catmull-Rom at ``pts`` of each grid in ``values`` through
     modulo-indexed gathers, shape ``(C, n_pts)``.

@@ -23,6 +23,7 @@ from roughflow.fields import (
     _mod_two_pi,
     _nearest_image,
     _padded_upsample,
+    _upsample_work,
     biot_savart,
     deposit,
     field_from_spec,
@@ -50,6 +51,7 @@ from reference import (
     grid_l1,
     grid_w11,
     mollify,
+    padded_upsample_by_irfft2,
     spectral_divergence,
     spectral_upsample_complex,
 )
@@ -423,6 +425,28 @@ class TestInterpolate:
         assert fine.shape == (N * r, N * r)
         assert np.abs(fine - expect).max() <= 1e-14 * np.abs(expect).max()
         assert np.allclose(fine[::r, ::r], values, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("N", [8, 16, 64])
+    @pytest.mark.parametrize("r", [1, 2, 4])
+    def test_pruned_upsample_matches_irfft2_reference_bitwise(self, N, r):
+        rng = np.random.default_rng(100 * N + r)
+        first, second = rng.standard_normal((2, N, N))
+        want = [padded_upsample_by_irfft2(v, r) for v in (first, second)]
+        assert _padded_upsample(first, r).tobytes() == want[0].tobytes()
+        # two fields pushed through one set of buffers: nothing of the
+        # first (or of the buffers' old contents) is left in the second
+        out = np.full((N * r + 4, N * r + 4), np.nan)
+        work = _upsample_work(first.shape, r)
+        for v, expect in zip((first, second), want):
+            assert _padded_upsample(v, r, out, work) is out
+            assert out.tobytes() == expect.tobytes()
+        # a stack of grids is upsampled grid by grid
+        both = _padded_upsample(np.stack([first, second]), r)
+        assert both.tobytes() == np.stack(want).tobytes()
+
+    def test_upsample_rejects_a_buffer_of_another_shape(self):
+        with pytest.raises(GridError, match="padded buffer"):
+            _padded_upsample(np.zeros((8, 8)), 4, np.empty((32, 32)))
 
     @pytest.mark.parametrize("N", [8, 16, 64])
     @pytest.mark.parametrize("r", [1, 4])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from roughflow.errors import GridError, HypothesisError, StepSizeError
 from roughflow.fields import (
+    _PARTICLE_BLOCK,
     ConstantField,
     GradPerpField,
     ShearField,
@@ -29,6 +30,7 @@ from roughflow.flow import (
     ParticleFlow,
     SteadyDrift,
     ZeroDrift,
+    _freeze,
     _log_lipschitz_ratio,
     _second_level,
     as_drift,
@@ -42,7 +44,7 @@ from roughflow.flow import (
     solve_inverse_flow,
     solve_nonlocal_flow,
 )
-from roughflow.roughpath import DriverPair, RoughPath, lift_piecewise_linear
+from roughflow.roughpath import DriverPair, RoughPath, lift_piecewise_linear, sample_fbm
 
 from reference import mollify, occupancy_chi_squared, rk4_flow, second_level_by_einsum
 
@@ -319,6 +321,51 @@ class TestAnalyticCases:
         got = _second_level(sigmas, S, pos, A)
         assert got.shape == pos.shape
         assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_step_matches_the_second_level_closed_form(self, seed):
+        # Two unit shears do not commute, and a step across the nodes of a
+        # restricted lift carries a Lévy area, so 𝕫 is not symmetric.  Each
+        # shear has (σ·∇)σ = 0, so with no drift the step is exactly
+        #   x − Σ_j Z^j σ_j + 𝕫¹²(σ₁·∇)σ₂ + 𝕫²¹(σ₂·∇)σ₁,
+        # with (σ₁·∇)σ₂ = (0.3 cos x₁·(−0.3 sin x₂), 0) and
+        # (σ₂·∇)σ₁ = (0, 0.3 cos x₂·(−0.3 sin x₁)).  Dropping the term,
+        # symmetrizing 𝕫 or transposing it each misses by more than 1e-3.
+        times = np.linspace(0.0, 1.0, 65)
+        rp = lift_piecewise_linear(times, sample_fbm(0.5, 64, 1.0, dims=2, seed=seed),
+                                   2.6).restrict(times[::8])
+        sigmas = (ShearField(0.3, 1, 0), ShearField(0.3, 1, 1))
+        init = ParticleFlow.lattice(8)
+        prob = FlowProblem(None, DriverPair(sigmas, rp, -1), init, rp.times)
+        s, t = rp.times[0], rp.times[1]
+        Z, A = rp.increment(s, t)
+        assert abs(A[0, 1] - A[1, 0]) > 1e-2     # the area is there
+        x1, x2 = init.positions.T
+        expect = np.stack([
+            x1 - Z[1] * (0.3 * np.cos(x2)) + A[0, 1] * (0.3 * np.cos(x1)) * (-0.3 * np.sin(x2)),
+            x2 - Z[0] * (0.3 * np.cos(x1)) + A[1, 0] * (0.3 * np.cos(x2)) * (-0.3 * np.sin(x1)),
+        ], axis=-1)
+        got = davie_step(init.positions, s, t, prob)
+        assert torus_dist(got, expect).max() <= 1e-14
+
+    def test_step_does_not_depend_on_the_blocking(self):
+        # davie_step works through the particles in blocks; each particle's
+        # arithmetic is its own, so stepping any split of the cloud gives the
+        # same bits as stepping it whole
+        rng = np.random.default_rng(4)
+        n = 2 * _PARTICLE_BLOCK + 1234
+        pos = rng.uniform(0.0, TWO_PI, (n, 2))
+        u = biot_savart(vorticity_from_modes([(1, 0, 1.0), (2, 1, 0.5)], 16))
+        sigmas = (SumField(ShearField(0.3, 1, 0), GradPerpField(0.2, (2, -1))),
+                  ShearField(0.3, 1, 1))
+        rp = brownian_driver(4, 8, scale=0.3)
+        prob = FlowProblem(GridDrift([0.0], [u]), DriverPair(sigmas, rp, -1),
+                           ParticleFlow(pos, pos, 1.0), rp.times)
+        s, t = rp.times[2], rp.times[3]
+        whole = davie_step(pos, s, t, prob)
+        parts = np.concatenate([davie_step(pos[i:i + 1000], s, t, prob)
+                                for i in range(0, n, 1000)])
+        assert whole.tobytes() == parts.tobytes()
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), a=st.floats(-0.5, 0.5),
@@ -706,6 +753,23 @@ class TestMeasurePreservation:
 # ---------------------------------------------------------------------------
 
 class TestNonlocalFlow:
+    def test_refrozen_drift_equals_a_fresh_one_bitwise(self):
+        rng = np.random.default_rng(8)
+        first, second = (biot_savart(VorticityGrid(v - v.mean()))
+                         for v in rng.standard_normal((2, 16, 16)))
+        pts = rng.uniform(0.0, TWO_PI, (300, 2))
+        drift = _freeze(None, 0.0, first)
+        grids = drift._grids[0]
+        assert _freeze(drift, 0.5, second) is drift
+        assert drift._grids[0] is grids              # refilled in place
+        assert drift.times.tolist() == [0.5]
+        assert drift.sup_norm == float(np.abs(second).max())
+        got = drift.velocity(0.5, pts)
+        assert got.tobytes() == interpolate_velocity(second, pts).tobytes()
+        assert got.tobytes() == GridDrift([0.5], [second]).velocity(0.5, pts).tobytes()
+        with pytest.raises(GridError, match="one-snapshot"):
+            _freeze(GridDrift([0.0, 1.0], [first, second]), 0.5, first)
+
     def test_zero_vorticity_reduces_to_pure_noise_flow(self):
         N = 16
         w0 = VorticityGrid(np.zeros((N, N)))

@@ -516,6 +516,34 @@ class TestCli:
         assert main(["pvar", str(path)]) == 1
         assert "column counts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("t,z\n0,1\nnote\n0.5,2\n", "non-numeric row after data started: 'note'"),
+        # no comment character: a '#' row after the data is not skipped
+        ("t,z\n0,1\n0.5,2\n# end\n", "non-numeric row after data started: '# end'"),
+        # a non-numeric row is named even when a ragged row comes first
+        ("t,z\n0,1\n0.5\nnote\n", "non-numeric row after data started: 'note'"),
+        ("t,z\n0,1\n0.5,2,3\n", "rows have inconsistent column counts"),
+        ("t,z\n\n   \n", "no numeric rows in"),
+        # float() read digit-group underscores; np.loadtxt does not
+        ("z\n1_000\n2_000\n", "no numeric rows in"),
+    ])
+    def test_pvar_series_errors_name_their_fault(self, tmp_path, capsys, text, message):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        assert main(["pvar", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_pvar_skips_header_rows_and_blank_lines(self, tmp_path, capsys):
+        from roughflow.variation import p_variation
+
+        path = tmp_path / "series.csv"
+        path.write_text("# a series\nt,z\n\n0,0\n   \n0.5, 1\n1,0.25\n\n")
+        assert main(["pvar", str(path), "--p", "2.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["value"] == p_variation(np.array([0.0, 1.0, 0.25]), 2.5)
+
     @pytest.mark.parametrize("argv_tail", [[], ["--L", "1.0"]])
     def test_pvar_non_finite_cell_exits_one(self, tmp_path, capsys, argv_tail):
         path = tmp_path / "gap.csv"

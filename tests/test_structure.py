@@ -73,6 +73,21 @@ def test_torus_reduction_goes_through_mod_two_pi():
     assert found == []
 
 
+def test_upsample_is_replaced_not_forked():
+    # _padded_upsample's pruned inverse (1-d ifft, then 1-d irfft written in
+    # place) is the library's one spectral upsample.  No module calls
+    # irfft2 or irfftn, whose out= numpy 2.4.6 fills with wrong values.
+    assert definitions("_padded_upsample") == ["fields.py"]
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                    for a in n.names}
+        found += [f"{path.name} {name}" for name in ("irfft2", "irfftn")
+                  if name in referenced_names(tree) | imported]
+    assert found == []
+
+
 def test_ledger_contraction_makes_no_blas_call():
     # A threaded OpenBLAS product leaves its second thread spinning between
     # snapshots: the weak ledger then burned about 60% more CPU time than
@@ -254,6 +269,8 @@ KEPT = {
     "save_particles_binary": "file format", "load_particles_binary": "file format",
     "save_run": "file format", "load_run": "file format",
     "interpolate": "readout: w0 evaluated at the inverse-flow points φ_t⁻¹(x)",
+    "interpolate_velocity": "readout: a stored velocity at any points, bitwise "
+                            "what the march's frozen GridDrift evaluated",
     "kernel_log_lipschitz_check": "open: reached by tests only",
 }
 
