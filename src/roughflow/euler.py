@@ -149,7 +149,7 @@ def solve_rough_euler(w0: VorticityGrid, driver: DriverPair, step_times, *,
             read off its trigonometric interpolant).
         driver: coefficient fields + level-2 path; ``sign_convention`` must
             be ``-1`` (the advecting form).
-        step_times: particle step grid; must refine the driver's nodes.
+        step_times: particle step grid, any grid inside the driver's span.
         store_times: ``None`` (endpoints), ``"steps"`` (every step node, what
             the weak-formulation diagnostics want), or an array of step nodes.
 

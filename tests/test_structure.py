@@ -2,7 +2,8 @@
 are defined exactly once, the partition DP is the only DP loop, the option
 surface of the solver entry points is pinned and every option on it is set
 by a caller, every public name is reached by a claim or kept for a stated
-reason, and every layer the traced benchmark wraps exists."""
+reason, every layer the traced benchmark wraps exists, and every registered
+mutant still applies to the source."""
 
 import ast
 import importlib
@@ -14,8 +15,11 @@ import pytest
 import roughflow
 from roughflow import euler, flow, roughpath, variation
 
+from mutants import MUTANTS
+
 SOURCE = pathlib.Path(roughflow.__file__).resolve().parent
-BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+CHECKOUT = pathlib.Path(__file__).resolve().parents[1]
+BENCH = CHECKOUT / "bench"
 
 
 def defined_names(node):
@@ -150,6 +154,7 @@ PINNED_PARAMETERS = {
     euler.solution_variation_diagnostic: ("trajectory", "remainder"),
     euler.save_run: ("trajectory", "root", "name", "binary", "config"),
     flow.CallableDrift: ("fn", "sup_norm", "log_lipschitz", "time_span"),
+    flow.FlowProblem: ("drift", "driver", "initial", "step_times"),
     flow.GridDrift: ("times", "snapshots"),
     flow.GridDrift.measure_log_lipschitz: ("self",),
     flow.FlowProblem.check: ("self",),
@@ -310,3 +315,12 @@ def test_every_public_name_is_reached():
     # a KEPT entry is needed: without it the name would not be reached
     unneeded = reached_names(roots - set(KEPT))
     assert [n for n in KEPT if n in unneeded or n not in roughflow.__all__] == []
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
+def test_every_mutant_applies_once(mutant):
+    # read from the checkout, not from the imported package: the mutation
+    # runner imports a mutated copy, whose file no longer holds ``old``
+    text = (CHECKOUT / "src" / "roughflow" / mutant.file).read_text()
+    assert text.count(mutant.old) == 1
+    assert mutant.new != mutant.old
