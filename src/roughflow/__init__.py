@@ -92,12 +92,10 @@ from .euler import (
     EulerTrajectory,
     FourierTestFunctions,
     RunArchive,
-    SolutionVariation,
     ViscousTrajectory,
     WeakRemainder,
     load_run,
     save_run,
-    solution_variation_diagnostic,
     solve_rough_euler,
     solve_viscous_reference,
     weak_remainder,
@@ -137,7 +135,6 @@ __all__ = [
     "EulerState", "EulerTrajectory", "solve_rough_euler",
     "ViscousTrajectory", "solve_viscous_reference",
     "FourierTestFunctions", "WeakRemainder", "weak_remainder",
-    "SolutionVariation", "solution_variation_diagnostic",
     "RunArchive", "save_run", "load_run",
     "EXPERIMENTS", "ExperimentConfig", "ExperimentResult", "run_experiment",
     "run_wong_zakai", "run_stability", "run_steady_check",

@@ -25,9 +25,7 @@ Three layers live here:
   ``A²*_{s,t}ψ = (σ_i·∇)(σ_j·∇ψ) 𝕫^{i,j}_{s,t}`` (adjoints use that the
   coefficient fields are divergence-free, so ``(σ·∇)* = −σ·∇``), and the
   remainder ``R`` must be third-order small: finite localized p/3-variation
-  in the dual-norm proxy.  :func:`solution_variation_diagnostic` measures the
-  p-variation of the solution itself in a negative-norm proxy and compares it
-  against the a-priori control.
+  in the dual-norm proxy.
 
 Everything is computed on immutable snapshots; runs persist to a directory of
 CSV (or binary) field and particle files via :func:`save_run`.
@@ -38,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +54,6 @@ __all__ = [
     "EulerState", "EulerTrajectory", "solve_rough_euler",
     "ViscousTrajectory", "solve_viscous_reference",
     "FourierTestFunctions", "WeakRemainder", "weak_remainder",
-    "SolutionVariation", "solution_variation_diagnostic",
     "save_run", "load_run", "RunArchive",
 ]
 
@@ -79,7 +76,6 @@ class EulerState:
     particles: ParticleFlow
     vorticity: VorticityGrid
     velocity: np.ndarray
-    driver: DriverPair = field(repr=False)
 
     @property
     def sup_norm(self) -> float:
@@ -170,7 +166,7 @@ def solve_rough_euler(w0: VorticityGrid, driver: DriverPair, step_times, *,
     states, drift, excess = [], 0.0, 0.0
     for flow, (w, u) in zip(traj.flows, traj.grids):
         states.append(EulerState(time=float(flow.time), particles=flow,
-                                 vorticity=w, velocity=u, driver=driver))
+                                 vorticity=w, velocity=u))
         drift = max(drift, abs(w.mean - initial_mean))
         if initial_sup > 0:
             excess = max(excess, w.linf() / initial_sup - 1.0)
@@ -547,7 +543,7 @@ class WeakRemainder:
     ``c_j − c_i`` of the cumulative drift; every other table is populated on
     the upper triangle ``i < j`` only and is zero on and below the diagonal.
     ``pairings[k, f]`` is the particle pairing ``w_{t_k}(ψ_f)`` of snapshot
-    ``k``, which :func:`solution_variation_diagnostic` reads back.
+    ``k``.
 
     The remainder ``R = w_{s,t}(ψ) − μ − w_s(A*ψ)`` is normalized by the
     family's W^{3,1} norms into ``remainder_norms`` — the dual-norm proxy
@@ -738,68 +734,6 @@ def weak_remainder(trajectory: EulerTrajectory, *,
                          localization=loc, bound_values=bound, omega_a=omega_a,
                          scaling_slope=slope, additivity_defect=defect,
                          quadrature_error=quad_err)
-
-
-@dataclass
-class SolutionVariation:
-    """Measured negative-norm variation of the solution vs its a-priori bound.
-
-    ``omega_w[i, j]`` is the per-pair variation contribution
-    ``(sup_f |w_{t_i,t_j}(ψ_f)| / ‖ψ_f‖_{W^{1,∞}})^p``; ``bound_values`` is
-    ``(1 + ‖w‖_∞)^{2p} (|t−s|^p + ω_A + ω_♮)`` per pair, and ``constant`` the
-    smallest K making ``omega_w ≤ K·bound`` on admissible pairs.
-    """
-
-    times: np.ndarray
-    omega_w: np.ndarray
-    bound_values: np.ndarray
-    constant: float
-    variation_power: float
-    p_exponent: float
-
-    @property
-    def variation_norm(self) -> float:
-        return self.variation_power ** (1.0 / self.p_exponent)
-
-
-def solution_variation_diagnostic(trajectory: EulerTrajectory, *,
-                                  remainder: WeakRemainder | None = None
-                                  ) -> SolutionVariation:
-    """p-variation of the solution in the first-order dual proxy.
-
-    Reuses the remainder ledger (or computes it with default settings) for
-    the ω_♮ part of the control, and its family, snapshot subgrid and
-    localization; purely diagnostic — never raises on a large constant.
-    """
-    if remainder is None:
-        remainder = weak_remainder(trajectory)
-    fam = remainder.test_functions
-    times = remainder.times
-    n = times.size
-    rp = trajectory.driver.rough_path
-    p = rp.p_exponent
-    idx = _thin_indices(len(trajectory), _LEDGER_GRID_CAP)
-    if idx.size != n or not np.array_equal(trajectory.times[idx], times):
-        raise GridError("the remainder ledger was computed on a different "
-                        "snapshot subgrid (another trajectory)")
-    P = remainder.pairings
-    dP = P[None, :, :] - P[:, None, :]
-    D = np.triu(np.abs(dP / fam.w1_norms).max(axis=-1))
-    loc = remainder.localization
-    var_power = localized_p_variation(increments=D, p=p, loc=loc, times=times)
-
-    gap = np.triu(times[None, :] - times[:, None], 1)
-    sup_w = float(np.abs(trajectory[int(idx[0])].particles.weights).max())
-    omega_nat = remainder.remainder_norms ** (p / 3.0)
-    bound = (1.0 + sup_w) ** (2 * p) * (gap ** p + remainder.omega_a + omega_nat)
-
-    omega_w = D ** p
-    mask = loc.mask(times) & (bound > 0) \
-        & np.triu(np.ones((n, n), dtype=bool), k=1)
-    constant = float((omega_w[mask] / bound[mask]).max()) if mask.any() else 0.0
-    return SolutionVariation(times=times, omega_w=omega_w, bound_values=bound,
-                             constant=constant,
-                             variation_power=float(var_power), p_exponent=p)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ a plain callable ``fn(t, positions)``, or time-stamped grid snapshots
 evaluated by cubic interpolation (:class:`GridDrift`).  Grid drifts report
 their sup norm and a sampled log-Lipschitz constant against the modulus γ.
 
-Both forward solvers share one march loop with a per-node hook, its one
-observer: the flow solver tracks diagnostic particles there, the nonlocal
-solver freezes the Biot-Savart drift and keeps the grids of stored nodes.
+Both forward solvers share one march loop.  Its per-node hook is where the
+nonlocal solver freezes the Biot-Savart drift and keeps the grids of stored
+nodes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .fields import (
     _cubic_velocity,
     _interp_spectral_lattice,
     _mod_two_pi,
-    _nearest_image,
     _padded_upsample,
     _read_header,
     _read_table,
@@ -48,17 +47,16 @@ from .fields import (
     deposit,
     gamma,
 )
-from .roughpath import DriverPair, _control_from_pair_tables, \
-    difference_variation_control, reverse_rough_path
-from .variation import _as_times, _default_localization, _store_indices, \
-    _thin_indices, _time_tol, locate_nodes, localized_p_variation
+from .roughpath import DriverPair, difference_variation_control, reverse_rough_path
+from .variation import _as_times, _store_indices, _thin_indices, _time_tol, \
+    locate_nodes
 
 __all__ = [
     "ZeroDrift", "SteadyDrift", "CallableDrift", "GridDrift", "as_drift",
     "ParticleFlow", "save_particles_csv", "load_particles_csv",
     "save_particles_binary", "load_particles_binary",
-    "FlowProblem", "davie_step", "FlowTrajectory", "FlowDiagnostics",
-    "solve_flow", "InverseFlowResult", "solve_inverse_flow",
+    "FlowProblem", "davie_step", "FlowTrajectory", "solve_flow",
+    "InverseFlowResult", "solve_inverse_flow",
     "solve_nonlocal_flow", "lagrangian_stability_bound",
     "LAGRANGIAN_STABILITY_CONSTANT",
 ]
@@ -525,18 +523,6 @@ def davie_step(positions, s: float, t: float, problem: FlowProblem) -> np.ndarra
 # forward solves
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FlowDiagnostics:
-    """Measured variation norms of the computed flow (sup over tracked particles)."""
-
-    q_exponent: float
-    flow_variation: float
-    remainder_variation: float
-    threshold: float
-    particles_tracked: int
-    grid_nodes: int
-
-
 @dataclass
 class FlowTrajectory:
     """Snapshots of one march; :func:`solve_nonlocal_flow` also fills
@@ -544,7 +530,6 @@ class FlowTrajectory:
 
     times: np.ndarray
     flows: list
-    diagnostics: FlowDiagnostics | None = None
     grids: list | None = None
 
     @property
@@ -553,46 +538,6 @@ class FlowTrajectory:
 
     def positions_array(self) -> np.ndarray:
         return np.stack([f.positions for f in self.flows])
-
-
-_DIAG_GRID_CAP = 257
-
-
-def _diagnose(problem: FlowProblem, track_wrapped: np.ndarray) -> FlowDiagnostics:
-    # unwrap the tracked paths step by step (accumulate adds in step order)
-    track_unwrapped = np.cumsum(np.concatenate(
-        [track_wrapped[:1], _nearest_image(np.diff(track_wrapped, axis=0))]), axis=0)
-    rp = problem.driver.rough_path
-    st = problem.step_times
-    q = problem.q_exponent
-    idx = _thin_indices(st.size, _DIAG_GRID_CAP)
-    sub_times = st[idx]
-
-    # sup-over-particles increment norms of the flow and of its remainder
-    phi = track_unwrapped[idx]           # (m, n_track, 2)
-    m = phi.shape[0]
-    diff = phi[None, :] - phi[:, None]   # (m, m, n_track, 2)
-    flow_norms = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=-1)
-    sigmas = problem.driver.sigma_fields
-    eps = problem.driver.sign_convention
-    S = np.stack([np.stack([f(track_wrapped[i]) for f in sigmas], axis=-1)
-                  for i in idx])         # (m, n_track, 2, M)
-    dZ, dA = rp.pair_tables(sub_times)   # zero on and below the diagonal
-    lead = eps * np.einsum("i...am,ijm->ij...a", S, dZ)
-    rem_norms = np.sqrt(((diff - lead) ** 2).sum(axis=-1)).max(axis=-1)
-
-    omega_z = _control_from_pair_tables(sub_times, dZ, dA, rp.p_exponent)
-    loc = _default_localization(omega_z, sub_times, rp.p_exponent)
-    flow_var = localized_p_variation(increments=flow_norms[..., None], p=q,
-                                     loc=loc, times=sub_times)
-    rem_var = localized_p_variation(increments=rem_norms[..., None], p=q / 2.0,
-                                    loc=loc, times=sub_times)
-    # the DP returns Σ|g|^p over the best partition; report norms
-    return FlowDiagnostics(q_exponent=q, flow_variation=flow_var ** (1.0 / q),
-                           remainder_variation=rem_var ** (2.0 / q),
-                           threshold=loc.threshold,
-                           particles_tracked=track_unwrapped.shape[1],
-                           grid_nodes=int(sub_times.size))
 
 
 def _march(problem: FlowProblem, store_times, at_node=None) -> FlowTrajectory:
@@ -625,31 +570,16 @@ def _march(problem: FlowProblem, store_times, at_node=None) -> FlowTrajectory:
 
 
 def solve_flow(problem: FlowProblem, *, store_times=None,
-               diagnostic_particles: int = 0, check: bool = True) -> FlowTrajectory:
+               check: bool = True) -> FlowTrajectory:
     """March the Davie scheme over the step grid.
 
     ``store_times`` selects the snapshot times: ``None`` keeps endpoints only,
     ``"steps"`` keeps every step node, and an explicit array keeps its members
-    (which must be step nodes).  ``diagnostic_particles > 0`` additionally
-    tracks that many particles on the full step grid and reports the measured
-    localized q-variation of the flow and (q/2)-variation of its remainder
-    against the driver (on a ≤257-node subgrid).
+    (which must be step nodes).
     """
     if check:
         problem.check()
-    n = problem.initial.n_particles
-    n_track = min(diagnostic_particles, n)
-    if not n_track:
-        return _march(problem, store_times)
-    track_idx = np.linspace(0, n - 1, n_track).astype(int)
-    wrapped = np.empty((problem.step_times.size, n_track, 2))
-
-    def track(k, pos, stored):
-        wrapped[k] = pos[track_idx]
-
-    traj = _march(problem, store_times, track)
-    traj.diagnostics = _diagnose(problem, wrapped)
-    return traj
+    return _march(problem, store_times)
 
 
 # ---------------------------------------------------------------------------

@@ -42,4 +42,14 @@ MUTANTS = (
     Mutant("biot_savart_sign_flipped", "fields.py", "psi_hat = -what * inv",
            "psi_hat = what * inv", "Biot-Savart velocity with its sign flipped",
            "tests/test_fields.py::TestBiotSavart::test_single_mode_closed_form"),
+    Mutant("pvar_strict_extrema_only", "variation.py",
+           "keep[1:-1] = ~(rise[:-1] & rise[1:] | fall[:-1] & fall[1:])",
+           "keep[1:-1] = rise[:-1] & fall[1:] | fall[:-1] & rise[1:]",
+           "p-variation DP over strict extrema only, plateau nodes dropped",
+           "tests/test_variation.py::test_dp_matches_enumeration"),
+    Mutant("pvar_pruned_at_p_one", "variation.py",
+           "increments is None and p > 1:", "increments is None and p >= 1:",
+           "p-variation DP pruned to turning nodes at p = 1, where the cell "
+           "power is not strictly convex",
+           "tests/test_variation.py::test_pruned_p_variation_equals_full_dp"),
 )

