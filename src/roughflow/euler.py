@@ -350,14 +350,8 @@ class FourierTestFunctions:
     pointwise methods are the reference that contraction is tested against.
     """
 
-    def __init__(self, resolution: int, wavevectors=None):
-        ks = np.asarray(wavevectors if wavevectors is not None
-                        else _FAMILY_WAVEVECTORS, dtype=int)
-        if ks.ndim != 2 or ks.shape[1] != 2 or ks.shape[0] == 0:
-            raise GridError("wavevectors must be a nonempty (m, 2) array")
-        if np.any(np.all(ks == 0, axis=1)):
-            raise GridError("the zero mode is not a test function "
-                            "(pairings would see only the invariant mean)")
+    def __init__(self, resolution: int):
+        ks = np.asarray(_FAMILY_WAVEVECTORS, dtype=int)
         N = int(resolution)
         if np.abs(ks).max() >= N // 2:
             raise GridError(f"family needs |k| < N/2 = {N // 2} to be "

@@ -18,12 +18,19 @@ Conventions
 * A geometric lift satisfies ``Sym 𝕫_{s,t} = ½ Z_{s,t} ⊗ Z_{s,t}``; canonical
   piecewise-linear lifts are geometric by construction.
 
-Internally a prefix table ``P_k = 𝕫_{t_0, t_k}`` is accumulated once via Chen,
-so any window is two table reads and one outer product.
-:meth:`RoughPath.pair_tables` applies that to every pair of a grid at once —
-the one primitive behind the variation controls and the weak-remainder
-ledger.  On a grid of stored nodes it indexes the prefix table directly; any
-other grid is resampled once first.
+Internally a prefix table ``P_k = 𝕫_{t_0, t_k}`` is accumulated once via Chen.
+Every window query rests on one vectorized, start-anchored read: for any
+times τ it returns ``(Z_τ, 𝕫_{t_0,τ})``, the prefix row of the node
+``t_k <= τ`` Chen-composed with the partial segment ``[t_k, τ]``.  A window
+``[s, t]`` is then two reads and Chen's relation,
+
+    𝕫_{s,t} = 𝕫_{t_0,t} − 𝕫_{t_0,s} − Z_{t_0,s} ⊗ Z_{s,t},
+
+on and off the stored grid alike.  :meth:`RoughPath.increment` is that
+formula for times or arrays of times; :meth:`RoughPath.pair_tables` reads a
+grid once and forms every pair — the primitive behind the variation controls
+and the weak-remainder ledger; :meth:`RoughPath.resample` is one read of the
+new grid.
 """
 
 from __future__ import annotations
@@ -81,6 +88,7 @@ class RoughPath:
             raise HypothesisError(f"level-2 rough paths need p in [2, 3), got {p_exponent}")
         self.p_exponent = float(p_exponent)
         self._prefix = self._accumulate_prefix()
+        self._segments = self._segment_tables()
 
     # -- basics ---------------------------------------------------------------
 
@@ -101,79 +109,65 @@ class RoughPath:
         np.cumsum(self.segment_area + cross, axis=0, out=P[1:])
         return P
 
+    def _segment_tables(self):
+        """Per-node length, rise and deviation from the canonical area of the
+        segment starting there.  The row of the last node is a flat segment
+        of unit length, so a read at ``t_n`` lands on that node exactly."""
+        dZ = np.diff(self.values, axis=0)
+        deviation = self.segment_area - 0.5 * np.einsum("ka,kb->kab", dZ, dZ)
+        return (np.append(np.diff(self.times), 1.0),
+                np.concatenate([dZ, np.zeros((1, self.dim))]),
+                np.concatenate([deviation, np.zeros((1, self.dim, self.dim))]))
+
     def node_index(self, t: float) -> int:
         return int(locate_nodes(self.times, t)[0])
 
     # -- window queries ---------------------------------------------------------
 
-    def pair_first_level(self, i, j) -> np.ndarray:
-        """Z_{t_i, t_j} for index arrays ``i``, ``j``."""
-        return self.values[j] - self.values[i]
+    def _anchored(self, tau):
+        """(Z_τ, 𝕫_{t_0,τ}) for an array of times τ inside the span.
 
-    def pair_second_level(self, i, j) -> np.ndarray:
-        """𝕫_{t_i, t_j} for index arrays ``i``, ``j`` via the prefix table."""
-        zi = self.values[i] - self.values[0]
-        zij = self.values[j] - self.values[i]
-        cross = np.einsum("...a,...b->...ab", zi, zij)
-        return self.prefix_second(j) - self.prefix_second(i) - cross
+        The prefix row of the node ``t_k <= τ`` Chen-composed with the
+        partial segment ``[t_k, τ]``: the canonical lift of the interpolant
+        plus the share ``(τ−t_k)/Δt`` of the segment's deviation.  Every
+        window query is two of these reads and :meth:`_chen`.
+        """
+        tau = np.asarray(tau, dtype=float)
+        t = self.times
+        tol = _time_tol(t)
+        if tau.min() < t[0] - tol or tau.max() > t[-1] + tol:
+            raise GridError(f"query times [{tau.min()}, {tau.max()}] leave the "
+                            f"path's span [{t[0]}, {t[-1]}]")
+        k = np.searchsorted(t, tau, side="right") - 1
+        np.maximum(k, 0, out=k)
+        span, rise, deviation = self._segments
+        frac = (tau - t[k]) / span[k]
+        dz = frac[..., None] * rise[k]
+        x = self.values[k] - self.values[0]
+        area = 0.5 * dz[..., :, None] * dz[..., None, :]
+        area += frac[..., None, None] * deviation[k]
+        return (self.values[k] + dz,
+                self._prefix[k] + area + x[..., :, None] * dz[..., None, :])
 
-    def prefix_second(self, idx) -> np.ndarray:
-        return self._prefix[idx]
+    def _chen(self, read, i, j):
+        """Windows ``[τ_i, τ_j]`` of one :meth:`_anchored` read, by Chen:
+        ``𝕫_{s,t} = 𝕫_{t_0,t} − 𝕫_{t_0,s} − Z_{t_0,s} ⊗ Z_{s,t}``."""
+        Z, P = read
+        z = Z[j] - Z[i]
+        return z, P[j] - P[i] - (Z[i] - self.values[0])[..., :, None] * z[..., None, :]
 
-    def _segment_of(self, t: float) -> int:
-        """Index k with t in [t_k, t_{k+1}); clamps the right end point."""
-        k = int(np.searchsorted(self.times, t, side="right") - 1)
-        return min(max(k, 0), self.n_steps - 1)
+    def increment(self, s, t):
+        """Both levels ``(Z_{s,t}, 𝕫_{s,t})`` over windows inside the span.
 
-    def _pieces(self, s: float, t: float):
-        """Split [s, t] into partial/whole-segment pieces as (Z, 𝕫) pairs."""
-        tol = _time_tol(self.times)
-        if s < self.times[0] - tol or t > self.times[-1] + tol:
-            raise GridError(f"query [{s}, {t}] leaves the path's span")
-        ks, kt = self._segment_of(s), self._segment_of(t)
-        if ks == kt:
-            return [self._partial(ks, s, t)]
-        pieces = [self._partial(ks, s, self.times[ks + 1])]
-        if kt > ks + 1:
-            i, j = ks + 1, kt
-            pieces.append((self.pair_first_level(i, j), self.pair_second_level(i, j)))
-        pieces.append(self._partial(kt, self.times[kt], t))
-        return pieces
-
-    def _partial(self, k: int, a: float, b: float):
-        """(Z, 𝕫) of [a, b] within segment k (Chen-exact for perturbed lifts)."""
-        dt = self.times[k + 1] - self.times[k]
-        frac = (b - a) / dt
-        dZ_seg = self.values[k + 1] - self.values[k]
-        dZ = frac * dZ_seg
-        canonical_seg = 0.5 * np.outer(dZ_seg, dZ_seg)
-        deviation = self.segment_area[k] - canonical_seg
-        area = 0.5 * np.outer(dZ, dZ) + frac * deviation
-        return dZ, area
-
-    def first_level(self, s: float, t: float) -> np.ndarray:
-        """Z_{s,t} (piecewise-linear off grid)."""
-        Z, _ = self.increment(s, t)
-        return Z
-
-    def second_level(self, s: float, t: float) -> np.ndarray:
-        """𝕫_{s,t} by Chen composition of stored segments."""
-        _, A = self.increment(s, t)
-        return A
-
-    def increment(self, s: float, t: float):
-        """Both levels over [s, t]; accepts any s <= t inside the span."""
-        if t < s:
+        ``s`` and ``t`` are times, or arrays of times of one shape, with
+        ``s <= t``; the result has that shape followed by ``(M,)`` and
+        ``(M, M)``.  Each window is two start-anchored reads and Chen's
+        relation, on and off the stored grid alike.
+        """
+        tau = np.array([s, t], dtype=float)
+        if (tau[1] < tau[0]).any():
             raise GridError("increment requires s <= t")
-        if s == t:
-            M = self.dim
-            return np.zeros(M), np.zeros((M, M))
-        Z = np.zeros(self.dim)
-        A = np.zeros((self.dim, self.dim))
-        for dZ, dA in self._pieces(s, t):
-            A = A + dA + np.outer(Z, dZ)
-            Z = Z + dZ
-        return Z, A
+        return self._chen(self._anchored(tau), 0, 1)
 
     def pair_tables(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(Z, 𝕫) over every pair ``i < j`` of the grid ``times``.
@@ -181,25 +175,16 @@ class RoughPath:
         Returns ``Z`` of shape ``(m, m, M)`` and ``𝕫`` of shape
         ``(m, m, M, M)`` with ``Z[i, j] = Z_{t_i, t_j}`` and
         ``𝕫[i, j] = 𝕫_{t_i, t_j}``; entries on and below the diagonal are
-        zero.  When every time is a stored node the prefix table is indexed
-        directly (two table reads and one outer product per pair, as in
-        :meth:`pair_second_level`); any other grid inside the span is first
-        :meth:`resample`-d once, so off-grid windows follow the
-        partial-segment convention.
+        zero.  The grid is read once and the pairs are formed by Chen's
+        relation, the formula of :meth:`increment`; on stored nodes that is
+        two prefix-table rows and one outer product per pair.
         """
         t = _as_times(times)
-        try:
-            idx = locate_nodes(self.times, t)
-            rp = self
-        except GridError:
-            rp = self.resample(t)
-            idx = np.arange(t.size)
         m, M = t.size, self.dim
         i, j = np.triu_indices(m, k=1)
         Z = np.zeros((m, m, M))
         A = np.zeros((m, m, M, M))
-        Z[i, j] = rp.pair_first_level(idx[i], idx[j])
-        A[i, j] = rp.pair_second_level(idx[i], idx[j])
+        Z[i, j], A[i, j] = self._chen(self._anchored(t), i, j)
         return Z, A
 
     # -- contract checks --------------------------------------------------------
@@ -215,21 +200,20 @@ class RoughPath:
         tri = tri[keep]
         if tri.size == 0:
             tri = np.array([[0, n // 2, n]])
-        i, j, k = tri.T
-        lhs = self.pair_second_level(i, k)
-        rhs = (self.pair_second_level(i, j) + self.pair_second_level(j, k)
-               + np.einsum("...a,...b->...ab", self.pair_first_level(i, j),
-                           self.pair_first_level(j, k)))
+        read = self._anchored(self.times[tri.T])
+        z_ij, a_ij = self._chen(read, 0, 1)
+        z_jk, a_jk = self._chen(read, 1, 2)
+        lhs = self._chen(read, 0, 2)[1]
+        rhs = a_ij + a_jk + z_ij[..., :, None] * z_jk[..., None, :]
         scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()), 1e-300)
         return float(np.abs(lhs - rhs).max()) / scale
 
     def restrict(self, sub_times) -> "RoughPath":
-        """The same rough path on a subgrid (Chen-composed segment areas)."""
+        """The same rough path on a subgrid of stored nodes."""
         idx = locate_nodes(self.times, _as_times(sub_times))
         if np.any(np.diff(idx) <= 0):
             raise GridError("subgrid must be strictly increasing within the span")
-        areas = self.pair_second_level(idx[:-1], idx[1:])
-        return RoughPath(self.times[idx], self.values[idx], areas, self.p_exponent)
+        return self.resample(self.times[idx])
 
     def resample(self, new_times) -> "RoughPath":
         """The same rough path on an arbitrary grid inside the span.
@@ -241,14 +225,9 @@ class RoughPath:
         nt = _as_times(new_times)
         if nt.size < 2:
             raise GridError("resample grid needs at least two times")
-        values = np.empty((nt.size, self.dim))
-        values[0] = self.values[0] + self.first_level(self.times[0], nt[0])
-        areas = np.empty((nt.size - 1, self.dim, self.dim))
-        for k in range(nt.size - 1):
-            dZ, dA = self.increment(nt[k], nt[k + 1])
-            values[k + 1] = values[k] + dZ
-            areas[k] = dA
-        return RoughPath(nt, values, areas, self.p_exponent)
+        read = self._anchored(nt)
+        areas = self._chen(read, slice(None, -1), slice(1, None))[1]
+        return RoughPath(nt, read[0], areas, self.p_exponent)
 
 
 def lift_piecewise_linear(times, values, p_exponent: float = 2.5) -> RoughPath:

@@ -52,4 +52,16 @@ MUTANTS = (
            "p-variation DP pruned to turning nodes at p = 1, where the cell "
            "power is not strictly convex",
            "tests/test_variation.py::test_pruned_p_variation_equals_full_dp"),
+    Mutant("window_deviation_share_dropped", "roughpath.py",
+           "area += frac[..., None, None] * deviation[k]", "area += 0.0",
+           "partial-segment 𝕫 without its share of the stored area's deviation "
+           "from the canonical lift",
+           "tests/test_roughpath.py::"
+           "test_partial_segment_takes_its_share_of_the_deviation"),
+    Mutant("window_cross_term_transposed", "roughpath.py",
+           "(Z[i] - self.values[0])[..., :, None] * z[..., None, :]",
+           "z[..., :, None] * (Z[i] - self.values[0])[..., None, :]",
+           "window 𝕫 by Chen with the cross term Z_{t_0,s} ⊗ Z_{s,t} transposed",
+           "tests/test_euler.py::TestWeakRemainder::"
+           "test_coarse_steps_keep_the_cocycle_exact[0]"),
 )

@@ -208,18 +208,24 @@ def chen_defect_direct(z_vals, areas, i, j, k):
 def variation_control_table_meshgrid(rp, times, p):
     """Rough-path variation-control table by the dense meshgrid formula.
 
-    Queries every ``(i, j)`` window of the node grid ``times`` (lower
-    triangle included) through ``rp``'s own window queries, then runs the
+    Forms every ``(i, j)`` window of the node grid ``times`` (lower
+    triangle included) from ``rp.values`` and a prefix table
+    ``P_k = 𝕫_{t_0, t_k}`` accumulated here by Chen, as
+    ``𝕫_{t_i, t_j} = P_j − P_i − Z_{t_0, t_i} ⊗ Z_{t_i, t_j}``, then runs the
     library's all-windows DP; kept as the brute reference the pair-table
     assembly must match bit for bit.
     """
     from roughflow.variation import _all_windows_dp, locate_nodes
 
+    v = rp.values
+    prefix = np.zeros((v.shape[0], v.shape[1], v.shape[1]))
+    cross = np.einsum("ka,kb->kab", v[:-1] - v[0], np.diff(v, axis=0))
+    np.cumsum(rp.segment_area + cross, axis=0, out=prefix[1:])
     idx = locate_nodes(rp.times, times)
     I, J = np.meshgrid(idx, idx, indexing="ij")
-    z = rp.pair_first_level(I, J)
+    z = v[J] - v[I]
     z_norm = np.sqrt(np.einsum("ija,ija->ij", z, z))
-    zz = rp.pair_second_level(I, J)
+    zz = prefix[J] - prefix[I] - np.einsum("...a,...b->...ab", v[I] - v[0], z)
     zz_norm = np.sqrt(np.einsum("ijab,ijab->ij", zz, zz))
     return _all_windows_dp(z_norm ** p) + _all_windows_dp(zz_norm ** (p / 2.0))
 

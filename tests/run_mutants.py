@@ -7,10 +7,13 @@ Usage, from the repository root::
 For each mutant of ``tests/mutants.py`` the runner copies ``src/`` to a
 temporary directory, applies the substitution there, and runs tier-1
 (``python -m pytest -x``) with that copy first on ``PYTHONPATH``, one mutant
-at a time.  The checkout is never modified.  A mutant is ``killed`` when
-tier-1 fails, ``survived`` when it passes and ``timeout`` when a run takes
-longer than five minutes.  The exit status is 1 unless every mutant was
-killed.  The file name keeps pytest from collecting this script into tier-1.
+at a time.  The checkout is never modified: Hypothesis, which keeps its
+example database under the working directory, is pointed at the temporary
+directory too, so no mutant's failing examples replay on the next pass.  A
+mutant is ``killed`` when tier-1 fails, ``survived`` when it passes and
+``timeout`` when a run takes longer than five minutes.  The exit status is 1
+unless every mutant was killed.  The file name keeps pytest from collecting
+this script into tier-1.
 """
 
 from __future__ import annotations
@@ -30,6 +33,12 @@ from mutants import MUTANTS
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
 TIMEOUT_S = 300.0
+# a pytest plugin, loaded with ``-p``, that moves Hypothesis's home (its example
+# database) from the working directory to the mutant's temporary directory
+HYPOTHESIS_HOME_PLUGIN = """\
+from hypothesis.configuration import set_hypothesis_home_dir
+set_hypothesis_home_dir({home!r})
+"""
 
 
 def run_mutant(mutant) -> dict:
@@ -43,11 +52,14 @@ def run_mutant(mutant) -> dict:
             raise SystemExit(f"{mutant.name}: `{mutant.old}` does not occur exactly "
                              f"once in src/roughflow/{mutant.file}")
         target.write_text(text.replace(mutant.old, mutant.new))
+        (pathlib.Path(tmp) / "mutant_hypothesis_home.py").write_text(
+            HYPOTHESIS_HOME_PLUGIN.format(home=str(pathlib.Path(tmp) / ".hypothesis")))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]),
+            [str(src), tmp, *filter(None, [os.environ.get("PYTHONPATH")])]),
             PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-rfE",
-                   "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+                   "-p", "no:cacheprovider", "-p", "mutant_hypothesis_home",
+                   "--continue-on-collection-errors"]
         start = time.perf_counter()
         try:
             done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True,

@@ -48,33 +48,34 @@ def perturbed_lift(seed, n=64, dims=2):
 def test_linear_time_path_has_half_area():
     times = np.linspace(0.0, 1.0, 11)
     rp = lift_piecewise_linear(times, times)  # Z_t = t
-    assert rp.second_level(0.0, 1.0)[0, 0] == pytest.approx(0.5, rel=1e-14)
+    assert rp.increment(0.0, 1.0)[1][0, 0] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_two_dimensional_diagonal_path_cross_area():
     times = np.linspace(0.0, 1.0, 9)
     vals = np.column_stack([times, times])
     rp = lift_piecewise_linear(times, vals)
-    zz = rp.second_level(0.0, 1.0)
+    zz = rp.increment(0.0, 1.0)[1]
     assert zz[0, 1] == pytest.approx(0.5, rel=1e-14)
     assert zz[1, 0] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_chen_defect_vanishes_on_nodes():
     rp = brownian_lift(seed=5)
-    scale = np.abs(rp.second_level(rp.times[10], rp.times[110])).max()
+    scale = np.abs(rp.increment(rp.times[10], rp.times[110])[1]).max()
     d = chen_defect_direct(rp.values, rp.segment_area, 10, 60, 110)
     assert np.abs(d).max() <= 1e-13 * max(scale, 1.0)
     # the library's window tables obey the same relation on those nodes
-    lib = (rp.pair_second_level(10, 110) - rp.pair_second_level(10, 60)
-           - rp.pair_second_level(60, 110)
-           - np.outer(rp.pair_first_level(10, 60), rp.pair_first_level(60, 110)))
+    t = rp.times
+    z_ij, a_ij = rp.increment(t[10], t[60])
+    z_jk, a_jk = rp.increment(t[60], t[110])
+    lib = rp.increment(t[10], t[110])[1] - a_ij - a_jk - np.outer(z_ij, z_jk)
     assert np.abs(lib).max() <= 1e-13 * max(scale, 1.0)
 
 
 def test_prefix_composition_matches_naive_left_to_right():
     rp = perturbed_lift(seed=2)
-    got = rp.pair_second_level(np.array(3), np.array(41))
+    got = rp.increment(rp.times[3], rp.times[41])[1]
     acc_z = np.zeros(2)
     acc = np.zeros((2, 2))
     for k in range(3, 41):
@@ -121,8 +122,8 @@ def test_restrict_matches_pair_queries():
     sub = rp.times[::8]
     r = rp.restrict(sub)
     np.testing.assert_array_equal(r.values, rp.values[::8])
-    np.testing.assert_allclose(r.second_level(sub[1], sub[5]),
-                               rp.second_level(sub[1], sub[5]), atol=1e-14)
+    np.testing.assert_allclose(r.increment(sub[1], sub[5])[1],
+                               rp.increment(sub[1], sub[5])[1], atol=1e-14)
 
 
 def test_partial_segment_chen_consistency_for_perturbed_lifts():
@@ -135,6 +136,28 @@ def test_partial_segment_chen_consistency_for_perturbed_lifts():
     z_st, a_st = rp.increment(s, t)
     np.testing.assert_allclose(z_su + z_ut, z_st, atol=1e-15)
     np.testing.assert_allclose(a_su + a_ut + np.outer(z_su, z_ut), a_st, atol=1e-15)
+
+
+def test_partial_segment_takes_its_share_of_the_deviation():
+    # inside segment k of a non-geometric lift, 𝕫 over [t_k, t_k + f·Δt] is
+    # the canonical lift of the interpolant plus the share f of the stored
+    # area's deviation from its canonical value, and it tends to the stored
+    # area as the window fills the segment
+    rp = perturbed_lift(seed=9, n=16)
+    for k in (5, rp.n_steps - 1):
+        t_k, dt = rp.times[k], rp.times[k + 1] - rp.times[k]
+        dZ = rp.values[k + 1] - rp.values[k]
+        canonical = 0.5 * np.outer(dZ, dZ)
+        deviation = rp.segment_area[k] - canonical
+        assert np.abs(deviation).max() > 1e-2
+        for f in (0.25, 0.5, 0.8):
+            z, a = rp.increment(t_k, t_k + f * dt)
+            np.testing.assert_allclose(z, f * dZ, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(a, f * f * canonical + f * deviation,
+                                       rtol=0, atol=1e-14)
+        gaps = [np.abs(rp.increment(t_k, rp.times[k + 1] - eps * dt)[1]
+                       - rp.segment_area[k]).max() for eps in (1e-2, 1e-4, 1e-6)]
+        assert gaps[0] < 1e-2 and gaps[1] < 1e-4 and gaps[2] < 1e-6, gaps
 
 
 def test_queries_outside_span_error():
@@ -250,8 +273,7 @@ def test_variation_control_contract():
     ctrl.check()
     assert ctrl.kind == "rough-path-variation"
     # single-step value is |Z|^p + |𝕫|^{p/2} for that segment of the subgrid
-    z = rp.first_level(rp.times[0], rp.times[4])
-    zz = rp.second_level(rp.times[0], rp.times[4])
+    z, zz = rp.increment(rp.times[0], rp.times[4])
     want = (np.linalg.norm(z) ** rp.p_exponent
             + np.linalg.norm(zz) ** (rp.p_exponent / 2))
     assert ctrl(rp.times[0], rp.times[4]) == pytest.approx(want, rel=1e-12)
@@ -296,6 +318,10 @@ def test_pair_tables_match_per_pair_increments(seed, dims, perturbed, on_nodes):
             z, a = rp.increment(t[i], t[j])
             np.testing.assert_allclose(Z[i, j], z, rtol=0, atol=1e-12 * scale)
             np.testing.assert_allclose(A[i, j], a, rtol=0, atol=1e-12 * scale)
+    # increment takes arrays of windows and reads them as pair_tables does
+    i, j = np.triu_indices(t.size, k=1)
+    z, a = rp.increment(t[i], t[j])
+    assert np.array_equal(z, Z[i, j]) and np.array_equal(a, A[i, j])
 
 
 @pytest.mark.parametrize("seed", range(5))

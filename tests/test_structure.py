@@ -130,6 +130,30 @@ def test_partition_dp_is_the_only_dp_loop():
     assert dp_steps(outside_function(tree, "_partition_dp")) == []
 
 
+def test_rough_path_windows_share_one_primitive():
+    # every (Z, 𝕫) window is two start-anchored reads of _anchored and Chen's
+    # relation: no second formula, no per-window Python loop
+    tree = ast.parse((SOURCE / "roughpath.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+               and n.name == "RoughPath")
+    methods = {n.name: n for n in cls.body if isinstance(n, ast.FunctionDef)}
+    for name in ("increment", "pair_tables", "resample", "chen_defect_scan"):
+        assert "_anchored" in referenced_names(methods[name]), name
+    assert "resample" in referenced_names(methods["restrict"])
+
+    for path in sorted(SOURCE.glob("*.py")):
+        module = ast.parse(path.read_text())
+        reads = [f"{path.name}:{n.lineno}" for n in outside_function(module, "_anchored")
+                 if isinstance(n, ast.Attribute) and n.attr == "_prefix"
+                 and isinstance(n.ctx, ast.Load)]
+        assert reads == [], reads
+
+    loops = (ast.For, ast.While, ast.comprehension)
+    for name in ("_anchored", "_chen", "increment", "pair_tables", "resample",
+                 "restrict", "chen_defect_scan"):
+        assert not any(isinstance(n, loops) for n in ast.walk(methods[name])), name
+
+
 def test_flow_draws_random_numbers_in_one_place():
     # every drift-contract estimate and check samples through _sample_norms
     tree = ast.parse((SOURCE / "flow.py").read_text())
